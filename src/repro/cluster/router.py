@@ -990,6 +990,10 @@ class ClusterRouter(JsonLinesEndpoint):
             block=request.get("block"),
         )
         non_blocking = request.get("block") is False
+        # Decoding validates every label (objects are rejected before
+        # anything is forwarded); a batch of plain scalars decodes as
+        # itself, so only tuple labels cost a decode.
+        keys = protocol.decode_items(raw_items)
         if not route.sharded:
             if non_blocking and route.migrating(0):
                 raise RouteMovedError(
@@ -999,13 +1003,15 @@ class ClusterRouter(JsonLinesEndpoint):
             return await self._forward(
                 route, 0, "update_batch", items=raw_items, **passthrough
             )
-        items = [protocol.decode_item(item) for item in raw_items]
+        # Slices carry the raw wire labels, forwarded untouched; the
+        # decoded keys only pick each row's shard.
         slices = scatter_batch(
-            items,
+            raw_items,
             request.get("weights"),
             request.get("timestamps"),
             route.shards,
             seed=route.seed,
+            keys=keys,
         )
         sends = [
             (index, shard_items, shard_weights, shard_ts)
@@ -1026,7 +1032,7 @@ class ClusterRouter(JsonLinesEndpoint):
                     route,
                     index,
                     "update_batch",
-                    items=[protocol.encode_item(item) for item in shard_items],
+                    items=shard_items,
                     weights=shard_weights,
                     timestamps=shard_ts,
                     block=request.get("block"),
@@ -1079,10 +1085,8 @@ class ClusterRouter(JsonLinesEndpoint):
         if not route.sharded:
             return await self._forward(route, 0, "subset_sum", candidates=candidates)
         by_shard: Dict[int, List[Any]] = {}
-        for raw in candidates:
-            by_shard.setdefault(
-                route.shard_of(protocol.decode_item(raw)), []
-            ).append(raw)
+        for raw, key in zip(candidates, protocol.decode_items(candidates)):
+            by_shard.setdefault(route.shard_of(key), []).append(raw)
         if not by_shard:
             return {"estimate": 0.0, "variance": 0.0}
         results = await asyncio.gather(

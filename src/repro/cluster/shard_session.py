@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro._typing import Item
 from repro.core.merge import merge_many_unbiased
@@ -157,38 +157,57 @@ def scatter_batch(
     num_shards: int,
     *,
     seed: int = 0,
+    keys: Optional[Sequence[Item]] = None,
 ) -> List[Tuple[List[Item], Optional[List[float]], Optional[List[float]]]]:
     """Partition an aligned batch by item hash, keeping all three columns.
 
-    The timestamped sibling of
-    :func:`repro.distributed.partition.hash_partition_batch` (windowed
-    sessions need timestamps to travel with their rows): returns one
-    ``(items, weights, timestamps)`` triple per shard, preserving the
-    within-shard arrival order.  Empty shards come back with empty lists
-    so callers can skip the network round trip entirely.
+    The package's one partition loop:
+    :func:`repro.distributed.partition.hash_partition_batch` delegates
+    here, and windowed sessions need timestamps to travel with their
+    rows.  Returns one ``(items, weights, timestamps)`` triple per shard,
+    preserving the within-shard arrival order.  Empty shards come back
+    with empty lists so callers can skip the network round trip entirely.
+
+    ``keys`` (aligned with ``items``, default the items themselves) are
+    what gets hashed, so a caller can partition rows it holds in another
+    form — the router forwards raw wire labels while hashing their
+    decoded tuples.  The shard is computed once per distinct key per
+    batch, memoized on ``repr(key)``: the hash input itself, so ``1``,
+    ``1.0`` and ``True`` — equal as dict keys — keep their own shards.
     """
     if num_shards < 1:
         raise InvalidParameterError(f"num_shards must be >= 1, got {num_shards}")
-    for label, column in (("weights", weights), ("timestamps", timestamps)):
+    if keys is None:
+        keys = items
+    for label, column in (
+        ("keys", keys),
+        ("weights", weights),
+        ("timestamps", timestamps),
+    ):
         if column is not None and len(column) != len(items):
             raise InvalidParameterError(
                 f"items and {label} must align: got {len(items)} items "
                 f"and {len(column)} {label}"
             )
-    part_items: List[List[Item]] = [[] for _ in range(num_shards)]
-    part_weights: Optional[List[List[float]]] = (
-        None if weights is None else [[] for _ in range(num_shards)]
-    )
-    part_ts: Optional[List[List[float]]] = (
-        None if timestamps is None else [[] for _ in range(num_shards)]
-    )
-    for index, item in enumerate(items):
-        shard = stable_shard(item, num_shards, seed=seed)
-        part_items[shard].append(item)
-        if part_weights is not None:
-            part_weights[shard].append(float(weights[index]))
-        if part_ts is not None:
-            part_ts[shard].append(float(timestamps[index]))
+    memo: Dict[str, int] = {}
+    shards: List[int] = []
+    for key in keys:
+        tag = repr(key)
+        shard = memo.get(tag)
+        if shard is None:
+            shard = memo[tag] = stable_shard(key, num_shards, seed=seed)
+        shards.append(shard)
+
+    def split(column: Iterable[Any]) -> List[List[Any]]:
+        parts: List[List[Any]] = [[] for _ in range(num_shards)]
+        appends = [part.append for part in parts]
+        for shard, value in zip(shards, column):
+            appends[shard](value)
+        return parts
+
+    part_items = split(items)
+    part_weights = None if weights is None else split(map(float, weights))
+    part_ts = None if timestamps is None else split(map(float, timestamps))
     return [
         (
             part_items[shard],

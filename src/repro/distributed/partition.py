@@ -13,8 +13,8 @@ and benchmarks can exercise the friendly and unfriendly cases alike.
 
 from __future__ import annotations
 
+import functools
 import hashlib
-import struct
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro._typing import Item
@@ -30,13 +30,20 @@ __all__ = [
 ]
 
 
+@functools.lru_cache(maxsize=64)
+def _keyed_state(seed: int) -> "hashlib.blake2b":
+    """The blake2b state after absorbing the key block of ``seed``.
+
+    Keying costs one compression of its own; copying this state per label
+    saves it.  The cached state is never updated, only copied.
+    """
+    return hashlib.blake2b(digest_size=8, key=seed.to_bytes(8, "little", signed=False))
+
+
 def _stable_hash(item: Item, seed: int) -> int:
-    digest = hashlib.blake2b(
-        repr(item).encode("utf-8"),
-        digest_size=8,
-        key=seed.to_bytes(8, "little", signed=False),
-    ).digest()
-    return struct.unpack("<Q", digest)[0]
+    hasher = _keyed_state(seed).copy()
+    hasher.update(repr(item).encode("utf-8"))
+    return int.from_bytes(hasher.digest(), "little")
 
 
 def stable_hash_64(item: Item, *, seed: int = 0) -> int:
@@ -92,27 +99,23 @@ def hash_partition_batch(
     The weighted analogue of :func:`hash_partition` used by the batched
     sharded executor: returns one ``(items, weights)`` pair per partition
     (``weights`` is ``None`` throughout when no weights were supplied),
-    preserving the within-partition arrival order.
+    preserving the within-partition arrival order.  Each distinct item is
+    hashed once per batch (see
+    :func:`repro.cluster.shard_session.scatter_batch`).
     """
     if num_partitions < 1:
         raise InvalidParameterError("num_partitions must be positive")
-    if weights is not None and len(items) != len(weights):
-        raise InvalidParameterError(
-            f"items and weights must align: got {len(items)} items "
-            f"and {len(weights)} weights"
+    # The partition loop itself lives with the cluster tier's scatter,
+    # which also carries timestamps; imported here because
+    # repro.cluster imports this module.
+    from repro.cluster.shard_session import scatter_batch
+
+    return [
+        (chunk, chunk_weights)
+        for chunk, chunk_weights, _ in scatter_batch(
+            items, weights, None, num_partitions, seed=seed
         )
-    part_items: List[List[Item]] = [[] for _ in range(num_partitions)]
-    part_weights: Optional[List[List[float]]] = (
-        None if weights is None else [[] for _ in range(num_partitions)]
-    )
-    for index, item in enumerate(items):
-        shard = _stable_hash(item, seed) % num_partitions
-        part_items[shard].append(item)
-        if part_weights is not None:
-            part_weights[shard].append(float(weights[index]))
-    if part_weights is None:
-        return [(chunk, None) for chunk in part_items]
-    return list(zip(part_items, part_weights))
+    ]
 
 
 def round_robin_partition(rows: Iterable[Item], num_partitions: int) -> List[List[Item]]:

@@ -560,7 +560,7 @@ class TCPServeClient:
             "update_batch",
             session=name,
             tenant=tenant,
-            items=[protocol.encode_item(item) for item in items],
+            items=protocol.encode_items(items),
             weights=None if weights is None else [float(w) for w in weights],
             timestamps=None
             if timestamps is None
@@ -615,7 +615,7 @@ class TCPServeClient:
                 "subset_sum",
                 session=name,
                 tenant=tenant,
-                candidates=[protocol.encode_item(item) for item in candidates],
+                candidates=protocol.encode_items(candidates),
             )
         )
 

@@ -16,7 +16,11 @@ integers, floats, strings and booleans pass through; *tuple* labels
 (composite keys are tuples throughout the package) are encoded as JSON
 arrays and decoded back to tuples recursively — JSON has no tuple, and
 lists are unhashable, so any array arriving in an item position must
-mean a tuple.  Grouped results (``estimates`` / ``heavy_hitters`` /
+mean a tuple.  JSON objects are rejected in item position with
+:class:`~repro.errors.SerializationError` (they are unhashable too).
+Batches of labels go through :func:`encode_items` / :func:`decode_items`,
+which skip the per-label walk when every label is a plain scalar.
+Grouped results (``estimates`` / ``heavy_hitters`` /
 ``top_k``) travel as ``[[item, value], ...]`` pair lists, never JSON
 objects, because JSON object keys are strings and would destroy
 integer and tuple labels.
@@ -38,6 +42,8 @@ __all__ = [
     "decode_line",
     "encode_item",
     "decode_item",
+    "encode_items",
+    "decode_items",
     "encode_pairs",
     "decode_pairs",
     "ok_response",
@@ -102,10 +108,66 @@ def encode_item(item: Any) -> Any:
 
 
 def decode_item(payload: Any) -> Any:
-    """Inverse of :func:`encode_item`: arrays in item position are tuples."""
+    """Inverse of :func:`encode_item`: arrays in item position are tuples.
+
+    JSON objects cannot be labels (a dict is unhashable); they raise
+    :class:`SerializationError` here, at the wire boundary, instead of
+    failing later inside a sketch.
+    """
     if isinstance(payload, list):
         return tuple(decode_item(part) for part in payload)
+    if isinstance(payload, dict):
+        raise SerializationError(
+            "JSON objects are outside the wire protocol's label domain "
+            "(int, float, str, bool, None, arrays thereof)"
+        )
     return payload
+
+
+#: Exact types that are their own wire encoding (``bool`` is listed
+#: apart from ``int`` because membership tests the exact type).
+_PLAIN_TYPES = frozenset((int, float, str, bool, type(None)))
+
+#: ndarray dtype kinds whose ``tolist()`` yields plain labels: bool,
+#: signed and unsigned int, float and unicode string.
+_PLAIN_KINDS = frozenset("biufU")
+
+
+def _all_plain(labels: list) -> bool:
+    return all(map(_PLAIN_TYPES.__contains__, map(type, labels)))
+
+
+def encode_items(items: Iterable[Any]) -> List[Any]:
+    """Batched :func:`encode_item`: one JSON array of labels.
+
+    A 1-d ndarray of a plain dtype encodes with a single ``tolist()``; a
+    list of plain scalars is already its own encoding.  Anything else
+    (object or bytes arrays, tuples, numpy scalars) takes the per-label
+    path, which validates each label.
+    """
+    if isinstance(items, np.ndarray):
+        if items.ndim != 1:
+            raise SerializationError(
+                f"a label batch must be a 1-d array, got shape {items.shape}"
+            )
+        if items.dtype.kind in _PLAIN_KINDS:
+            return items.tolist()
+    elif isinstance(items, list) and _all_plain(items):
+        return items
+    return [encode_item(item) for item in items]
+
+
+def decode_items(payload: List[Any]) -> List[Any]:
+    """Batched :func:`decode_item` over a JSON array of labels.
+
+    When every label is a plain scalar the array is its own decoding and
+    comes back as is; otherwise each label is decoded, arrays becoming
+    tuples and objects raising :class:`SerializationError` — before any
+    row of the batch can be enqueued.
+    """
+    if _all_plain(payload):
+        return payload
+    return [decode_item(item) for item in payload]
 
 
 def encode_pairs(groups: "Dict[Any, float] | Iterable[Tuple[Any, float]]") -> List[List[Any]]:

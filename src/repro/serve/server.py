@@ -309,7 +309,7 @@ class SketchServer(JsonLinesEndpoint):
         items = request.get("items")
         if not isinstance(items, list):
             raise InvalidParameterError("'items' must be a JSON array of labels")
-        decoded = [protocol.decode_item(item) for item in items]
+        decoded = protocol.decode_items(items)
         weights = request.get("weights")
         timestamps = request.get("timestamps")
         return decoded, weights, timestamps
@@ -407,7 +407,7 @@ class SketchServer(JsonLinesEndpoint):
                 "predicates cannot travel over JSON; use the in-process client "
                 "for callable predicates)"
             )
-        member = {protocol.decode_item(candidate) for candidate in candidates}
+        member = set(protocol.decode_items(candidates))
         result = served.subset_sum(lambda item: item in member)
         return {"estimate": result.estimate, "variance": result.variance}
 

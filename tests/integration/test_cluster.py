@@ -14,12 +14,15 @@ health loop, and cluster administration (cluster_info, routing errors).
 from __future__ import annotations
 
 import asyncio
+import json
 import math
 
+import numpy as np
 import pytest
 
 import repro
 from repro.cluster import ClusterRouter
+from repro.distributed.partition import stable_shard
 from repro.errors import (
     ClusterError,
     InvalidParameterError,
@@ -186,6 +189,120 @@ class TestShardedScatterGather:
         estimates = run(scenario())
         assert set(estimates) == {("site", i) for i in range(5)}
         assert sum(estimates.values()) == pytest.approx(100.0)
+
+    def test_batch_forms_match_a_per_row_scatter_bit_exactly(self, tmp_path):
+        """ndarray, list and per-item client batches all place and apply
+        every row exactly as a per-row ``stable_shard`` loop would."""
+        seed, shards = 4, 2
+        rng = np.random.default_rng(seed)
+        chunks = [rng.zipf(1.3, 400) % 300 for _ in range(5)]
+        candidates = list(range(0, 300, 3))
+        tuple_chunks = [[("k", int(v) % 40) for v in chunk] for chunk in chunks]
+        tuple_candidates = [("k", v) for v in range(0, 40, 3)]
+
+        def reference(rows_chunks, picks):
+            local = [repro.build(SPEC, size=24, seed=seed + i) for i in range(shards)]
+            for chunk in rows_chunks:
+                parts = [[] for _ in range(shards)]
+                for row in chunk:
+                    parts[stable_shard(row, shards, seed=seed)].append(row)
+                for sketch, part in zip(local, parts):
+                    if part:
+                        sketch.update_batch(part)
+            estimates = {}
+            for sketch in local:
+                estimates.update(sketch.estimates())
+            wanted = set(picks)
+            owners = sorted({stable_shard(p, shards, seed=seed) for p in picks})
+            subsets = [
+                local[i].subset_sum(lambda item: item in wanted) for i in owners
+            ]
+            subset = (
+                sum(r.estimate for r in subsets),
+                sum(r.variance for r in subsets),
+            )
+            return estimates, subset
+
+        forms = {
+            "ndarray": (chunks, candidates),
+            "list": ([chunk.tolist() for chunk in chunks], candidates),
+            "per_item": ([tuple(chunk.tolist()) for chunk in chunks], set(candidates)),
+            "tuples": (tuple_chunks, tuple_candidates),
+        }
+
+        async def scenario():
+            cluster = await _cluster(tmp_path, n=2)
+            client = cluster.client
+            out = {}
+            try:
+                for name, (batches, picks) in forms.items():
+                    await client.create(name, SPEC, size=24, seed=seed, shards=shards)
+                    for batch in batches:
+                        await client.update_batch(name, batch)
+                        await client.flush(name)
+                    subset = await client.subset_sum(name, picks)
+                    out[name] = (
+                        await client.estimates(name),
+                        (subset.estimate, subset.variance),
+                    )
+                return out
+            finally:
+                await cluster.close()
+
+        got = run(scenario())
+        int_rows = [[int(v) for v in chunk] for chunk in chunks]
+        int_reference = reference(int_rows, candidates)
+        for name in ("ndarray", "list", "per_item"):
+            assert got[name][0] == int_reference[0]
+            assert all(type(label) is int for label in got[name][0])
+            assert got[name][1] == int_reference[1]
+        assert got["tuples"] == reference(tuple_chunks, tuple_candidates)
+
+    @pytest.mark.parametrize("shards", [None, 2])
+    @pytest.mark.parametrize(
+        "items",
+        [[1, {"a": 1}, 2], [[1, {"a": 1}], 2]],
+        ids=["object", "object-inside-tuple"],
+    )
+    def test_object_label_rejected_before_forwarding(self, tmp_path, shards, items):
+        async def call(reader, writer, request):
+            writer.write(json.dumps(request).encode("utf-8") + b"\n")
+            await writer.drain()
+            return json.loads(await reader.readline())
+
+        async def scenario():
+            cluster = await _cluster(tmp_path, n=2)
+            try:
+                await cluster.client.create("s", SPEC, size=16, seed=1, shards=shards)
+                reader, writer = await asyncio.open_connection(
+                    *cluster.router.address
+                )
+                await reader.readline()  # hello banner
+                response = await call(reader, writer, {
+                    "id": 1, "op": "update_batch", "session": "s", "items": items,
+                })
+                assert response["ok"] is False
+                assert response["error"]["type"] == "SerializationError"
+                # Same connection, still alive: nothing reached a member.
+                flushed = await call(
+                    reader, writer, {"id": 2, "op": "flush", "session": "s"}
+                )
+                assert flushed["result"]["rows_applied"] == 0
+                writer.close()
+                await writer.wait_closed()
+                served = [
+                    session
+                    for server in cluster.servers.values()
+                    for session in server.registry
+                ]
+                assert served  # the session (or its shards) exist...
+                for session in served:  # ...and never saw a row
+                    assert session.stats.rows_enqueued == 0
+                    assert session.stats.failed_batches == 0
+            finally:
+                await cluster.close()
+
+        run(scenario())
 
     def test_single_session_forwards_bit_exactly(self, tmp_path, batch_seed):
         """An unsharded session through the router == a local session."""

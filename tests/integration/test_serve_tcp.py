@@ -184,6 +184,56 @@ class TestTCPProtocol:
 
         run(scenario())
 
+    def test_ndarray_batches_serve_the_same_answers_as_lists(self):
+        arrays = {
+            "int64": np.array([5, -2, 5, 2**40, 5, 7] * 20, dtype=np.int64),
+            "uint64": np.array([1, 2**63 + 1, 1, 3] * 25, dtype=np.uint64),
+            "float64": np.array([0.5, -0.0, 0.5, 2.25] * 25),
+            "bool": np.array([True, False, True] * 30),
+            "unicode": np.array(["ad", "日本", "ad", "x"] * 25),
+        }
+        objects = np.empty(60, dtype=object)
+        objects[:] = [("a", i % 3) if i % 2 else f"s{i % 5}" for i in range(60)]
+        arrays["object"] = objects
+
+        async def scenario():
+            server, client = await _tcp_server()
+            answers = {}
+            try:
+                for name, array in arrays.items():
+                    for form, batch in (("array", array), ("list", array.tolist())):
+                        session = f"{name}-{form}"
+                        await client.create(
+                            session, "unbiased_space_saving", size=3, seed=2
+                        )
+                        await client.update_batch(session, batch)
+                        await client.flush(session)
+                        picks = batch[:2]
+                        subset = await client.subset_sum(session, picks)
+                        answers[session] = (
+                            await client.estimates(session),
+                            subset.estimate,
+                            subset.variance,
+                        )
+                with pytest.raises(SerializationError):
+                    await client.update_batch("int64-array", np.array([b"ab", b"c"]))
+                with pytest.raises(SerializationError):
+                    await client.update_batch(
+                        "int64-array", np.arange(6).reshape(3, 2)
+                    )
+                # Rejected client-side: the session never saw those rows.
+                assert (await client.total("int64-array")).estimate == 120.0
+            finally:
+                await client.close()
+                await server.stop()
+            return answers
+
+        answers = run(scenario())
+        for name in arrays:
+            assert answers[f"{name}-array"] == answers[f"{name}-list"], name
+        # Tuple labels in an object array arrive as tuples.
+        assert {type(label) for label in answers["object-array"][0]} == {str, tuple}
+
     def test_malformed_line_gets_error_response_and_connection_survives(self):
         async def scenario():
             server = SketchServer()
@@ -419,7 +469,61 @@ class TestRouteMovedOverTheWire:
         run(scenario())
 
 
+async def _raw_call(reader, writer, request):
+    """One hand-written request line on a raw connection; the response."""
+    writer.write(json.dumps(request).encode("utf-8") + b"\n")
+    await writer.drain()
+    return json.loads(await reader.readline())
+
+
 class TestTCPHardening:
+    @pytest.mark.parametrize(
+        "items",
+        [[1, {"a": 1}, 2], [1, [2, {"a": 1}], 3]],
+        ids=["object", "object-inside-tuple"],
+    )
+    def test_object_label_rejects_whole_batch_before_enqueue(self, items):
+        """A JSON object is no label: refused up front, nothing enqueued."""
+
+        async def scenario():
+            server = SketchServer()
+            host, port = await server.start_tcp("127.0.0.1", 0)
+            try:
+                reader, writer = await asyncio.open_connection(host, port)
+                await reader.readline()  # hello banner
+                created = await _raw_call(reader, writer, {
+                    "id": 1, "op": "create", "session": "s",
+                    "spec": "unbiased_space_saving", "size": 16, "seed": 0,
+                })
+                assert created["ok"] is True
+                response = await _raw_call(reader, writer, {
+                    "id": 2, "op": "update_batch", "session": "s", "items": items,
+                })
+                assert response["ok"] is False
+                assert response["error"]["type"] == "SerializationError"
+                # The connection survived and the session took nothing.
+                flushed = await _raw_call(
+                    reader, writer, {"id": 3, "op": "flush", "session": "s"}
+                )
+                assert flushed["result"]["rows_applied"] == 0
+                info = await _raw_call(
+                    reader, writer, {"id": 4, "op": "info", "session": "s"}
+                )
+                serving = info["result"]["info"]["serving"]
+                assert serving["rows_enqueued"] == 0
+                assert serving["failed_batches"] == 0
+                assert serving["last_error"] is None
+                ok = await _raw_call(reader, writer, {
+                    "id": 5, "op": "update_batch", "session": "s", "items": [1, 2],
+                })
+                assert ok["result"]["enqueued"] == 2
+                writer.close()
+                await writer.wait_closed()
+            finally:
+                await server.stop()
+
+        run(scenario())
+
     def test_metrics_op_returns_live_counters(self):
         async def scenario():
             server, client = await _tcp_server()

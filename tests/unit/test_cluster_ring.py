@@ -26,7 +26,11 @@ from repro.cluster import (
     ring_delta,
     scatter_batch,
 )
-from repro.distributed.partition import stable_shard
+from repro.distributed.partition import (
+    hash_partition_batch,
+    stable_hash_64,
+    stable_shard,
+)
 from repro.errors import ClusterError, InvalidParameterError
 
 KEYS = [("default", f"session-{i}") for i in range(10_000)]
@@ -170,6 +174,102 @@ class TestScatterBatch:
             scatter_batch(["a"], None, [1.0, 2.0], 2)
         with pytest.raises(InvalidParameterError):
             scatter_batch(["a"], None, None, 0)
+
+
+    # Equal as dict keys (1 == 1.0 == True, 0.0 == -0.0 == 0 == False),
+    # distinct as hash inputs: the per-batch memo must not merge them.
+    MIXED = [1, 1.0, True, (1,), (1.0,), 0, 0.0, -0.0, False, "1", None, (True,)]
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**63])
+    @pytest.mark.parametrize("shards", [2, 3, 7])
+    def test_memoized_scatter_equals_per_row_stable_shard(self, seed, shards):
+        items = [self.MIXED[(i * 5) % len(self.MIXED)] for i in range(240)]
+        weights = [float(i) for i in range(len(items))]
+        ts = [1000.0 + i for i in range(len(items))]
+        expected = [([], [], []) for _ in range(shards)]
+        for item, weight, stamp in zip(items, weights, ts):
+            part = expected[stable_shard(item, shards, seed=seed)]
+            part[0].append(item)
+            part[1].append(weight)
+            part[2].append(stamp)
+        got = scatter_batch(items, weights, ts, shards, seed=seed)
+        for (g_items, g_weights, g_ts), (e_items, e_weights, e_ts) in zip(
+            got, expected
+        ):
+            # Compare reprs: list equality would accept 1.0 for True.
+            assert [repr(item) for item in g_items] == [repr(item) for item in e_items]
+            assert g_weights == e_weights
+            assert g_ts == e_ts
+
+    def test_equal_labels_keep_their_own_shards(self):
+        # 1, 1.0 and True land on three different shards at seed 0 of 7
+        # (pinned in TestPlacementGoldenVectors); a value-keyed memo
+        # would send all three wherever the first one went.
+        slices = scatter_batch([1, 1.0, True], None, None, 7, seed=0)
+        placed = {
+            repr(item): shard
+            for shard, (s_items, _, _) in enumerate(slices)
+            for item in s_items
+        }
+        assert placed == {"1": 3, "1.0": 6, "True": 0}
+
+    def test_keys_pick_shards_for_rows_kept_in_another_form(self):
+        raw = [[1, "a"], [2, "b"], [1, "a"], 7]
+        keys = [(1, "a"), (2, "b"), (1, "a"), 7]
+        slices = scatter_batch(raw, None, None, 3, seed=2, keys=keys)
+        for shard, (s_items, _, _) in enumerate(slices):
+            for item in s_items:
+                key = tuple(item) if isinstance(item, list) else item
+                assert stable_shard(key, 3, seed=2) == shard
+        assert sum(len(s_items) for s_items, _, _ in slices) == len(raw)
+        with pytest.raises(InvalidParameterError):
+            scatter_batch(raw, None, None, 3, keys=keys[:2])
+
+    def test_hash_partition_batch_is_scatter_without_timestamps(self):
+        items = [self.MIXED[i % len(self.MIXED)] for i in range(50)]
+        weights = [float(i % 4) for i in range(50)]
+        pairs = hash_partition_batch(items, weights, 3, seed=9)
+        triples = scatter_batch(items, weights, None, 3, seed=9)
+        assert [(list(map(repr, i)), w) for i, w in pairs] == [
+            (list(map(repr, i)), w) for i, w, _ in triples
+        ]
+
+
+class TestPlacementGoldenVectors:
+    """Pinned outputs of the ``blake2b(repr(label))`` placement hash.
+
+    Rings, shard frames and checkpoints all depend on these values; a
+    faster hash that moves any of them must arrive as a new, versioned
+    hash kind rather than silently replacing this one.
+    """
+
+    SEEDS = (0, 5, 2**63)
+    # label, stable_hash_64 at each seed, stable_shard(label, 7) at each seed
+    TABLE = [
+        (0, (0xCD1D341072EF7386, 0x40A7CBDC8A80F482, 0x56D33D62F4D342AD), (5, 3, 2)),
+        (1, (0xB4BCA3AE2DCD016A, 0x191894C3E0A7C40F, 0x6BFB146EC3BEA879), (3, 2, 0)),
+        (-1, (0xF5695647F102C6E5, 0x8A06571A68C60153, 0x163A5A6EACCDDCFF), (0, 2, 5)),
+        (2**64 + 1, (0x2B77A7F0DFCECF21, 0x8BD4C5C3D990F237, 0xEC2AF3DC42731182), (1, 5, 4)),
+        (-(2**70), (0x2F3A465A4DE81071, 0x50A51A31888D4EC5, 0xF3941B48645D8840), (1, 1, 4)),
+        (0.0, (0xD34D51AA89BEC0ED, 0xAA8E2E49904884EF, 0x58832933B743AACD), (2, 0, 4)),
+        (-0.0, (0xFE7BE2646663B32B, 0xC5EF25025A9EFB12, 0x301123AAA1119CED), (5, 3, 6)),
+        (1.0, (0xC3DAB2A652606306, 0x03F29B3AC99D5C39, 0x075FFD63E8706E32), (6, 0, 4)),
+        (True, (0x5C2FE8CA2B79ABF2, 0x5D5A2070D15CED50, 0xE68FF1AC7B7E9F49), (0, 1, 6)),
+        (None, (0x901A1797BFB34D83, 0x8C9C503BB31B8ABC, 0xDBF1D7A618125B6E), (0, 6, 1)),
+        ("", (0x7796DA1FB3A5F093, 0xB0FCC3DCB3D1B756, 0x3F701B5612274D30), (2, 1, 3)),
+        ("naïve", (0x29FF7FFE9E095D01, 0x3090DE6B2F3A8557, 0xA06DB666F2172757), (5, 2, 1)),
+        ("日本語", (0xE824FBC1708A44B4, 0xD888DA9C5EAD3BDE, 0xF8A6DF7730F48737), (5, 4, 5)),
+        ((1, ("a", -0.0)), (0x3261C3AF6FCD976E, 0x430D4C00302BFDBF, 0x9013FD3C85BA21AB), (4, 6, 0)),
+        (((),), (0x0399E8C9670859DE, 0x28696DF7FED127F6, 0xDC4D43611D6A9F65), (2, 4, 0)),
+    ]
+
+    @pytest.mark.parametrize(
+        "label, hashes, shards", TABLE, ids=[repr(row[0]) for row in TABLE]
+    )
+    def test_pinned(self, label, hashes, shards):
+        for seed, want_hash, want_shard in zip(self.SEEDS, hashes, shards):
+            assert stable_hash_64(label, seed=seed) == want_hash
+            assert stable_shard(label, 7, seed=seed) == want_shard
 
 
 class TestGatherMerge:

@@ -564,6 +564,54 @@ class TestProtocolCodec:
         with pytest.raises(SerializationError):
             protocol.encode_item(object())
 
+    ARRAYS = [
+        np.array([3, -1, 2**40], dtype=np.int64),
+        np.array([0, 2**63 + 5], dtype=np.uint64),
+        np.array([0.5, -0.0, 1e300]),
+        np.array([True, False]),
+        np.array(["ad", "日本"]),
+    ]
+
+    @pytest.mark.parametrize("array", ARRAYS, ids=lambda a: a.dtype.str)
+    def test_plain_ndarray_encodes_like_per_item(self, array):
+        fast = protocol.encode_items(array)
+        slow = [protocol.encode_item(item) for item in array]
+        assert fast == slow
+        assert [type(v) for v in fast] == [type(v) for v in slow]
+
+    def test_object_ndarray_takes_per_item_path(self):
+        array = np.empty(3, dtype=object)
+        array[:] = [np.int64(4), ("a", 1), "b"]
+        assert protocol.encode_items(array) == [4, ["a", 1], "b"]
+        bad = np.empty(1, dtype=object)
+        bad[0] = object()
+        with pytest.raises(SerializationError):
+            protocol.encode_items(bad)
+
+    def test_bytes_and_2d_arrays_rejected(self):
+        with pytest.raises(SerializationError):
+            protocol.encode_items(np.array([b"ab", b"c"]))
+        with pytest.raises(SerializationError):
+            protocol.encode_items(np.arange(6).reshape(3, 2))
+        with pytest.raises(SerializationError):
+            protocol.encode_items(np.array(5))
+
+    def test_plain_list_is_its_own_encoding(self):
+        labels = [1, 2.5, "a", True, None]
+        assert protocol.encode_items(labels) is labels
+        assert protocol.decode_items(labels) is labels
+        # numpy scalars and tuples are not plain: they are converted.
+        assert protocol.encode_items([np.int64(1), ("a", 2)]) == [1, ["a", 2]]
+        assert protocol.encode_items(iter([("a", 2)])) == [["a", 2]]
+
+    def test_decode_items_builds_tuples_and_rejects_objects(self):
+        assert protocol.decode_items([1, ["a", [2, None]]]) == [1, ("a", (2, None))]
+        for payload in ([1, {"a": 1}], [["a", {"b": 2}]], [[[{}]]]):
+            with pytest.raises(SerializationError):
+                protocol.decode_items(payload)
+        with pytest.raises(SerializationError):
+            protocol.decode_item({"a": 1})
+
     def test_pairs_roundtrip_preserves_order(self):
         groups = {("a", 1): 3.0, "b": 1.5, 7: 2.0}
         assert protocol.decode_pairs(protocol.encode_pairs(groups)) == groups
