@@ -1,15 +1,12 @@
-"""Sketch interfaces and the shared bin-store abstraction.
+"""Sketch interfaces shared by every frequent-item sketch in the package.
 
 The paper's Algorithm 2 observes that every frequent-item sketch in the
 Space Saving / Misra-Gries family can be decomposed into an *exact increment*
-followed by a *reduction* that keeps the number of counters bounded.  The
-classes here capture the pieces those sketches share:
+followed by a *reduction* that keeps the number of counters bounded.  Both
+Space Saving sketches keep their bounded set of ``(label, count)`` bins in
+:class:`~repro.core.columnar.ColumnarCounterStore`.  The classes here are the
+interfaces on top of it:
 
-* :class:`BinStore` — the mutable collection of ``(label, count)`` bins with
-  fast minimum lookup.  Two implementations are provided: an integer-only
-  store backed by :class:`~repro.core.stream_summary.StreamSummary` with
-  ``O(1)`` unit updates, and a float-capable store backed by a lazy heap used
-  by weighted updates, merges and time-decayed variants.
 * :class:`FrequentItemSketch` — the abstract interface every frequent-item
   sketch in this package implements (update, point estimate, heavy hitters).
 * :class:`SubsetSumSketch` — the extension implemented by sketches whose
@@ -19,249 +16,18 @@ classes here capture the pieces those sketches share:
 from __future__ import annotations
 
 import abc
-import heapq
-import itertools
 import random
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro._typing import Item, ItemPredicate
 from repro.core.batching import collapse_batch, iter_weighted_rows
-from repro.core.stream_summary import StreamSummary
 from repro.core.variance import EstimateWithError
-from repro.errors import (
-    EmptySketchError,
-    InvalidParameterError,
-    UnsupportedUpdateError,
-)
+from repro.errors import InvalidParameterError
 
 __all__ = [
-    "BinStore",
-    "StreamSummaryBinStore",
-    "HeapBinStore",
     "FrequentItemSketch",
     "SubsetSumSketch",
 ]
-
-
-# ----------------------------------------------------------------------
-# Bin stores
-# ----------------------------------------------------------------------
-class BinStore(abc.ABC):
-    """A bounded collection of labeled counters with minimum lookup.
-
-    A bin store does not enforce a capacity itself; the sketches do.  It only
-    provides the primitive operations the reduction step needs.
-    """
-
-    @abc.abstractmethod
-    def __len__(self) -> int:
-        """Number of bins currently stored."""
-
-    @abc.abstractmethod
-    def __contains__(self, item: Item) -> bool:
-        """Whether ``item`` currently labels a bin."""
-
-    @abc.abstractmethod
-    def get(self, item: Item, default: float = 0.0) -> float:
-        """Return the count for ``item`` or ``default`` when absent."""
-
-    @abc.abstractmethod
-    def insert(self, item: Item, count: float) -> None:
-        """Add a new bin labeled ``item`` with the given count."""
-
-    @abc.abstractmethod
-    def remove(self, item: Item) -> float:
-        """Remove the bin labeled ``item`` and return its count."""
-
-    @abc.abstractmethod
-    def increment(self, item: Item, by: float) -> float:
-        """Add ``by`` to ``item``'s counter and return the new value."""
-
-    def increment_batch(self, pairs: Iterable[Tuple[Item, float]]) -> None:
-        """Increment several existing labels in one call.
-
-        Equivalent to calling :meth:`increment` once per pair in order.
-        Implementations may override it to amortize per-call overhead; every
-        label must already be present.
-        """
-        for item, by in pairs:
-            self.increment(item, by)
-
-    @abc.abstractmethod
-    def relabel(self, old: Item, new: Item) -> None:
-        """Rename the bin labeled ``old`` to ``new`` keeping its count."""
-
-    @abc.abstractmethod
-    def min_label(self) -> Item:
-        """Return the label of a minimum-count bin."""
-
-    @abc.abstractmethod
-    def min_count(self) -> float:
-        """Return the smallest count stored."""
-
-    @abc.abstractmethod
-    def items(self) -> Iterator[Tuple[Item, float]]:
-        """Iterate over ``(label, count)`` pairs in unspecified order."""
-
-    def counts(self) -> Dict[Item, float]:
-        """Snapshot of all bins as a plain dictionary."""
-        return dict(self.items())
-
-
-class StreamSummaryBinStore(BinStore):
-    """Integer bin store with ``O(1)`` unit updates.
-
-    Thin adapter over :class:`~repro.core.stream_summary.StreamSummary` so
-    the sketches can swap between the integer structure and the float heap
-    without branching in their update logic.
-    """
-
-    def __init__(self, rng: Optional[random.Random] = None) -> None:
-        self._summary = StreamSummary(rng=rng)
-
-    def __len__(self) -> int:
-        return len(self._summary)
-
-    def __contains__(self, item: Item) -> bool:
-        return item in self._summary
-
-    def get(self, item: Item, default: float = 0.0) -> float:
-        return float(self._summary.get(item, int(default)))
-
-    def insert(self, item: Item, count: float) -> None:
-        if count != int(count):
-            raise UnsupportedUpdateError(
-                "StreamSummaryBinStore only stores integer counts; "
-                "use HeapBinStore for real-valued counters"
-            )
-        self._summary.insert(item, int(count))
-
-    def remove(self, item: Item) -> float:
-        return float(self._summary.remove(item))
-
-    def increment(self, item: Item, by: float) -> float:
-        if by != int(by):
-            raise UnsupportedUpdateError(
-                "StreamSummaryBinStore only supports integer increments"
-            )
-        return float(self._summary.increment(item, int(by)))
-
-    def increment_batch(self, pairs: Iterable[Tuple[Item, float]]) -> None:
-        checked = []
-        for item, by in pairs:
-            if by != int(by):
-                raise UnsupportedUpdateError(
-                    "StreamSummaryBinStore only supports integer increments"
-                )
-            checked.append((item, int(by)))
-        self._summary.increment_many(checked)
-
-    def relabel(self, old: Item, new: Item) -> None:
-        self._summary.relabel(old, new)
-
-    def min_label(self) -> Item:
-        return self._summary.min_label()
-
-    def min_count(self) -> float:
-        return float(self._summary.min_count())
-
-    def items(self) -> Iterator[Tuple[Item, float]]:
-        for label, count in self._summary.items():
-            yield label, float(count)
-
-    def check_invariants(self) -> None:
-        """Delegate structural invariant checks to the underlying summary."""
-        self._summary.check_invariants()
-
-
-class HeapBinStore(BinStore):
-    """Float-capable bin store using a lazily invalidated min-heap.
-
-    Updates cost ``O(log m)`` amortized.  This is the store used by weighted
-    and real-valued sketches, by merged sketches whose counters are
-    Horvitz-Thompson adjusted, and by the forward-decay variant whose
-    counters grow exponentially.
-    """
-
-    _REMOVED = object()
-
-    def __init__(self, rng: Optional[random.Random] = None) -> None:
-        self._counts: Dict[Item, float] = {}
-        self._heap: List[List[object]] = []
-        self._entries: Dict[Item, List[object]] = {}
-        self._seq = itertools.count()
-        self._rng = rng
-
-    def __len__(self) -> int:
-        return len(self._counts)
-
-    def __contains__(self, item: Item) -> bool:
-        return item in self._counts
-
-    def get(self, item: Item, default: float = 0.0) -> float:
-        return self._counts.get(item, default)
-
-    def insert(self, item: Item, count: float) -> None:
-        if item in self._counts:
-            raise InvalidParameterError(f"label {item!r} already present")
-        if count < 0:
-            raise InvalidParameterError("counts must be non-negative")
-        self._counts[item] = float(count)
-        self._push(item, float(count))
-
-    def remove(self, item: Item) -> float:
-        count = self._counts.pop(item)
-        entry = self._entries.pop(item)
-        entry[2] = self._REMOVED
-        return count
-
-    def increment(self, item: Item, by: float) -> float:
-        if by < 0:
-            raise InvalidParameterError("increment must be non-negative")
-        new_count = self._counts[item] + float(by)
-        self._counts[item] = new_count
-        entry = self._entries[item]
-        entry[2] = self._REMOVED
-        self._push(item, new_count)
-        return new_count
-
-    def relabel(self, old: Item, new: Item) -> None:
-        if new in self._counts:
-            raise InvalidParameterError(f"label {new!r} already present")
-        count = self.remove(old)
-        self.insert(new, count)
-
-    def min_label(self) -> Item:
-        entry = self._peek_min()
-        label = entry[2]
-        if self._rng is None:
-            return label
-        # Collect all labels tied at the minimum count for random tie breaks.
-        min_count = entry[0]
-        tied = [item for item, count in self._counts.items() if count == min_count]
-        if len(tied) == 1:
-            return tied[0]
-        return self._rng.choice(tied)
-
-    def min_count(self) -> float:
-        return float(self._peek_min()[0])
-
-    def items(self) -> Iterator[Tuple[Item, float]]:
-        return iter(self._counts.items())
-
-    def _push(self, item: Item, count: float) -> None:
-        entry: List[object] = [count, next(self._seq), item]
-        self._entries[item] = entry
-        heapq.heappush(self._heap, entry)
-
-    def _peek_min(self) -> List[object]:
-        while self._heap:
-            entry = self._heap[0]
-            if entry[2] is self._REMOVED:
-                heapq.heappop(self._heap)
-                continue
-            return entry
-        raise EmptySketchError("bin store is empty")
 
 
 # ----------------------------------------------------------------------

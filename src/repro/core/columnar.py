@@ -1,10 +1,9 @@
 """Columnar (struct-of-arrays) counter store and its vectorized batch kernel.
 
-The scalar stores in :mod:`repro.core.base` keep one Python object per bin
-(linked bucket nodes, heap entries), so even the collapsed
-``update_batch`` path ends up walking Python objects once per distinct
-item.  :class:`ColumnarCounterStore` holds the same ``(label, count)``
-bins in plain contiguous arrays:
+:class:`ColumnarCounterStore` is the one counter store behind both Space
+Saving sketches.  It holds the bounded set of ``(label, count)`` bins of
+the paper's Algorithm 2 in plain contiguous arrays, so the collapsed
+``update_batch`` path never walks a Python object per bin:
 
 * ``_counts`` — ``float64[capacity]`` counter values (free slots hold
   ``+inf`` so they never win a minimum scan);
@@ -19,16 +18,16 @@ bins in plain contiguous arrays:
 Randomized tie-breaking
 -----------------------
 The paper's analysis assumes ties among minimum bins are broken uniformly
-at random.  The scalar stores implement that with ``rng.choice`` over the
-tied labels, which consumes a data-dependent number of random draws — a
-shape that cannot be vectorized or pre-drawn.  The columnar store uses an
-equivalent *priority* discipline instead: every count change also assigns
-the bin a fresh uniform priority, and the minimum bin is the
-lexicographic minimum of ``(count, priority, slot)``.  Because every bin
-entering a tie carries a fresh independent uniform priority, the winner
-of each minimum contest is uniform over the tied bins — the same
-distribution as ``rng.choice`` — while the number of draws per operation
-is a constant, so a whole batch's randomness can be drawn in one bulk
+at random.  Picking with ``rng.choice`` over the tied labels would consume
+a data-dependent number of random draws — a shape that cannot be
+vectorized or pre-drawn.  The store uses an equivalent *priority*
+discipline instead: every count change also assigns the bin a fresh
+uniform priority, and the minimum bin is the lexicographic minimum of
+``(count, priority, slot)``.  Because every bin entering a tie carries a
+fresh independent uniform priority, the winner of each minimum contest
+is uniform over the tied bins — the same distribution as ``rng.choice``
+— while the number of draws per operation is a constant, so a whole
+batch's randomness can be drawn in one bulk
 ``Generator.random(n)`` call (bit-identical to drawing lazily one scalar
 at a time, a documented PCG64 property this package's equivalence suite
 pins).
@@ -87,13 +86,14 @@ outputs are bit-identical, not merely distributionally equal.
 from __future__ import annotations
 
 import os
+import random
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro._typing import Item
-from repro.core.base import BinStore
-from repro.errors import EmptySketchError, InvalidParameterError
+from repro.errors import EmptySketchError, InvalidParameterError, SerializationError
+from repro.io.codec import decode_item, encode_item
 
 __all__ = [
     "ColumnarCounterStore",
@@ -287,10 +287,84 @@ def _resolve_sweep(name: str):
     return _sweep_numpy
 
 
+def _check_bins(counts: np.ndarray, priorities: Optional[np.ndarray] = None) -> None:
+    """Refuse bin state the kernels cannot order.
+
+    A NaN count never compares, so the level sweep would spin on it, and an
+    infinite count ties with the :data:`FREE_SLOT` sentinel and can never be
+    evicted.  Counts must be finite and non-negative, priorities finite.
+    """
+    if not (np.isfinite(counts).all() and (counts >= 0).all()):
+        raise InvalidParameterError("bin counts must be finite and non-negative")
+    if priorities is not None and not np.isfinite(priorities).all():
+        raise InvalidParameterError("bin priorities must be finite")
+
+
+def frame_bins(
+    store: "ColumnarCounterStore",
+) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]]:
+    """The store's part of a Space Saving frame as ``(meta, arrays)``.
+
+    Bins are written in ``items()`` order with their counts, priorities
+    and (when tracked) acquisition errors, plus the kernel generator
+    state; :func:`restore_frame_bins` reads them back.
+    """
+    rows = store.state_rows()
+    meta = {
+        "active_store": "columnar",
+        "labels": [encode_item(label) for label, _, _, _ in rows],
+        "kernel_rng_state": store.generator_state(),
+    }
+    arrays = {
+        "counts": np.asarray([c for _, c, _, _ in rows], dtype=np.float64),
+        "priorities": np.asarray([p for _, _, p, _ in rows], dtype=np.float64),
+    }
+    if store._errors is not None:
+        arrays["acquisition_errors"] = np.asarray(
+            [e for _, _, _, e in rows], dtype=np.float64
+        )
+    return meta, arrays
+
+
+def restore_frame_bins(
+    store: "ColumnarCounterStore", meta: Dict[str, Any], arrays, rng: random.Random
+) -> None:
+    """Load a Space Saving frame's bins into an empty ``store``.
+
+    Columnar frames carry every bin's priority and the kernel generator
+    state, so the restored sketch continues its stream bit-identically.
+    Frames written by the retired scalar stores (any other
+    ``active_store``, or no marker at all) carry neither.  Their bins
+    load exactly, and the generator is seeded from ``rng`` — the frame's
+    restored Python RNG — before it draws the priorities, so loading one
+    frame twice continues identically.  Their continuation matches the
+    original sketch in distribution only.
+
+    Invalid bin state raises :class:`~repro.errors.SerializationError`.
+    """
+    try:
+        labels = [decode_item(label) for label in meta["labels"]]
+        if meta.get("active_store") == "columnar":
+            store.set_generator_state(meta["kernel_rng_state"])
+            priorities = arrays["priorities"]
+        else:
+            seed = np.random.SeedSequence(list(rng.getstate()[1]))
+            store.set_generator_state(np.random.PCG64(seed).state)
+            priorities = None
+        store.fill(
+            labels,
+            arrays["counts"],
+            priorities=priorities,
+            errors=arrays.get("acquisition_errors"),
+        )
+    except InvalidParameterError as error:
+        raise SerializationError(f"invalid sketch frame: {error}") from error
+
+
 # ----------------------------------------------------------------------
 # The store
 # ----------------------------------------------------------------------
-class ColumnarCounterStore(BinStore):
+class ColumnarCounterStore:
     """Struct-of-arrays bin store with a vectorized batch-apply kernel.
 
     Parameters
@@ -342,25 +416,11 @@ class ColumnarCounterStore(BinStore):
 
     # -- introspection ---------------------------------------------------
     @property
-    def capacity(self) -> int:
-        """The fixed slot count."""
-        return self._capacity
-
-    @property
     def kernel(self) -> str:
         """The resolved kernel name this store dispatches to."""
         return self._kernel_name
 
-    @property
-    def generator(self) -> np.random.Generator:
-        """The generator feeding every priority/acceptance draw."""
-        return self._generator
-
-    def tracks_errors(self) -> bool:
-        """Whether the per-slot acquisition-error array is maintained."""
-        return self._errors is not None
-
-    # -- BinStore interface ----------------------------------------------
+    # -- bins ------------------------------------------------------------
     def __len__(self) -> int:
         return len(self._index)
 
@@ -374,11 +434,11 @@ class ColumnarCounterStore(BinStore):
         return float(self._counts[slot])
 
     def insert(self, item: Item, count: float) -> None:
+        """Add a bin labeled ``item`` into a free slot (one priority draw)."""
         item = self._as_label(item)
         if item in self._index:
             raise InvalidParameterError(f"label {item!r} already present")
-        if count < 0:
-            raise InvalidParameterError("counts must be non-negative")
+        _check_bins(np.float64(count))
         if not self._free:
             raise InvalidParameterError(
                 f"columnar store is full (capacity {self._capacity})"
@@ -391,46 +451,60 @@ class ColumnarCounterStore(BinStore):
         self._labels[slot] = item
         self._index[item] = slot
 
-    def remove(self, item: Item) -> float:
-        slot = self._index.pop(item)
-        count = float(self._counts[slot])
-        self._counts[slot] = FREE_SLOT
-        self._prio[slot] = 0.0
-        self._labels[slot] = None
-        self._free.append(slot)
-        return count
+    def fill(
+        self,
+        labels: Sequence[Item],
+        counts,
+        *,
+        priorities=None,
+        errors=None,
+    ) -> None:
+        """Place ``labels`` with their ``counts`` into an empty store at once.
 
-    def increment(self, item: Item, by: float) -> float:
-        if by < 0:
-            raise InvalidParameterError("increment must be non-negative")
-        slot = self._index[item]
-        new_count = float(self._counts[slot] + by)
-        self._counts[slot] = new_count
-        self._prio[slot] = self._generator.random()
-        return new_count
-
-    def increment_batch(self, pairs) -> None:
-        pairs = list(pairs)
-        draws = self._generator.random(len(pairs))
-        counts = self._counts
-        prio = self._prio
-        index = self._index
-        for position, (item, by) in enumerate(pairs):
-            slot = index[item]
-            counts[slot] += by
-            prio[slot] = draws[position]
-
-    def relabel(self, old: Item, new: Item) -> None:
-        new = self._as_label(new)
-        if new in self._index:
-            raise InvalidParameterError(f"label {new!r} already present")
-        slot = self._index.pop(old)
-        self._index[new] = slot
-        self._labels[slot] = new
-
-    def min_label(self) -> Item:
-        slot, _ = self._min_slot()
-        return self._labels[slot]
+        Bins take slots ``0..k-1`` in order.  Without ``priorities`` the
+        store draws them with one ``Generator.random(k)`` call, which PCG64
+        makes bit-identical to ``k`` :meth:`insert` calls; with them (a
+        frame restore) no draw is made.  ``errors`` seeds the acquisition
+        error column and defaults to zeros.
+        """
+        if self._index:
+            raise InvalidParameterError("fill() needs an empty store")
+        k = len(labels)
+        if k > self._capacity:
+            raise InvalidParameterError(
+                f"cannot place {k} bins into a capacity-{self._capacity} store"
+            )
+        counts = np.asarray(counts, dtype=np.float64)
+        if priorities is None:
+            priorities = self._generator.random(k)
+        priorities = np.asarray(priorities, dtype=np.float64)
+        if counts.shape != (k,) or priorities.shape != (k,):
+            raise InvalidParameterError(
+                f"{k} labels need {k} counts and priorities, got "
+                f"{counts.shape} and {priorities.shape}"
+            )
+        _check_bins(counts, priorities)
+        if errors is not None:
+            errors = np.asarray(errors, dtype=np.float64)
+            if errors.shape != (k,):
+                raise InvalidParameterError(
+                    f"{k} labels need {k} acquisition errors, got {errors.shape}"
+                )
+        lowered = [
+            label.item() if isinstance(label, np.generic) else label
+            for label in labels
+        ]
+        index = dict(zip(lowered, range(k)))
+        if len(index) != k:
+            raise InvalidParameterError("bin labels must be distinct")
+        self._counts[:k] = counts
+        self._prio[:k] = priorities
+        if self._errors is not None:
+            self._errors[:k] = 0.0 if errors is None else errors
+        self._labels[:k] = lowered
+        self._index = index
+        self._free = list(range(self._capacity - 1, k - 1, -1))
+        self._int_labels = all(type(label) is int for label in lowered)
 
     def min_count(self) -> float:
         if not self._index:
@@ -441,6 +515,10 @@ class ColumnarCounterStore(BinStore):
         counts = self._counts
         for item, slot in self._index.items():
             yield item, float(counts[slot])
+
+    def counts(self) -> Dict[Item, float]:
+        """Snapshot of all bins as a plain dictionary."""
+        return dict(self.items())
 
     # -- acquisition errors (Deterministic Space Saving) ------------------
     def acquisition_error(self, item: Item) -> float:
@@ -585,31 +663,6 @@ class ColumnarCounterStore(BinStore):
             )
             for item, slot in self._index.items()
         ]
-
-    def restore_bin(
-        self, item: Item, count: float, priority: float, error: float = 0.0
-    ) -> None:
-        """Re-create one bin exactly (no draws), used when loading frames.
-
-        Bins are restored in their serialized (``items()``) order, which
-        compacts them into slots ``0..n-1`` while preserving relative slot
-        order — the only slot property the kernel discipline observes —
-        so a restored seeded sketch continues its stream bit-identically.
-        """
-        item = self._as_label(item)
-        if item in self._index:
-            raise InvalidParameterError(f"label {item!r} already present")
-        if not self._free:
-            raise InvalidParameterError(
-                f"columnar store is full (capacity {self._capacity})"
-            )
-        slot = self._free.pop()
-        self._counts[slot] = float(count)
-        self._prio[slot] = float(priority)
-        if self._errors is not None:
-            self._errors[slot] = float(error)
-        self._labels[slot] = item
-        self._index[item] = slot
 
     def generator_state(self) -> Dict[str, Any]:
         """The kernel generator's bit-generator state (JSON-safe)."""

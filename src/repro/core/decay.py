@@ -11,9 +11,9 @@ item is
 
 so only a single division by ``g(t − L)`` is needed at query time.  Because
 the ingested weights are positive reals, the sketch underneath is an
-Unbiased Space Saving instance with the heap-backed store, and every decayed
-subset sum inherits the unbiasedness of the underlying sketch (the decay is
-a deterministic reweighting of the stream).
+Unbiased Space Saving instance, whose float-native columnar store takes them
+as they are, and every decayed subset sum inherits the unbiasedness of the
+underlying sketch (the decay is a deterministic reweighting of the stream).
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ class ForwardDecaySketch:
     ) -> None:
         self._decay = decay
         self._landmark = float(landmark)
-        self._sketch = UnbiasedSpaceSaving(capacity, seed=seed, store="heap")
+        self._sketch = UnbiasedSpaceSaving(capacity, seed=seed)
         self._latest_timestamp = float(landmark)
 
     # ------------------------------------------------------------------

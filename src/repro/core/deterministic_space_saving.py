@@ -20,21 +20,11 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro._typing import Item
-from repro.core.base import (
-    BinStore,
-    FrequentItemSketch,
-    HeapBinStore,
-    StreamSummaryBinStore,
-)
+from repro.core.base import FrequentItemSketch
 from repro.core.batching import collapse_batch, collapse_batch_arrays
-from repro.core.columnar import ColumnarCounterStore
+from repro.core.columnar import ColumnarCounterStore, frame_bins, restore_frame_bins
 from repro.errors import InvalidParameterError, UnsupportedUpdateError
-from repro.io.codec import (
-    decode_item,
-    encode_item,
-    rng_state_from_jsonable,
-    rng_state_to_jsonable,
-)
+from repro.io.codec import rng_state_from_jsonable, rng_state_to_jsonable
 from repro.io.serializable import SerializableSketch
 
 __all__ = ["DeterministicSpaceSaving"]
@@ -51,19 +41,12 @@ class DeterministicSpaceSaving(FrequentItemSketch, SerializableSketch):
         Seed for the tie-breaking generator.  The deterministic sketch only
         uses randomness to break ties among equal minimum bins, matching the
         randomized tie-breaking assumed by the paper's analysis.
-    store:
-        ``"columnar"`` (the default) keeps counters in the struct-of-arrays
-        store of :mod:`repro.core.columnar`, whose batched kernel never
-        touches per-bin Python objects; it is float-native, so real-valued
-        weights need no opt-in.  ``"stream_summary"`` (integer counters,
-        O(1) unit updates) and ``"heap"`` (float counters, O(log m)
-        updates) select the historical scalar stores, whose tie-breaking
-        draw sequences differ from the columnar kernel's priority
-        discipline.
 
     Notes
     -----
-    In addition to the counter, each bin records the *acquisition error*
+    The bins live in a :class:`~repro.core.columnar.ColumnarCounterStore`,
+    which is float-native, so real-valued weights need no opt-in.  In
+    addition to the counter, each bin records the *acquisition error*
     ``ε_i`` — the counter value the bin held when its current label took it
     over.  ``N̂_i - ε_i`` is a lower bound on the true count, which yields the
     classic guaranteed heavy-hitter report.
@@ -82,63 +65,25 @@ class DeterministicSpaceSaving(FrequentItemSketch, SerializableSketch):
         capacity: int,
         *,
         seed: Optional[int] = None,
-        store: str = "columnar",
     ) -> None:
         super().__init__(capacity, seed=seed)
-        self._store = self._make_store(store, seed)
-        self._store_kind = store
-        #: acquisition errors for the scalar stores; the columnar store
-        #: tracks them in its own error column instead.
-        self._acquisition_error: Dict[Item, float] = {}
-
-    def _make_store(self, store: str, seed: Optional[int] = None) -> BinStore:
-        if store == "columnar":
-            return ColumnarCounterStore(
-                self._capacity,
-                generator=np.random.Generator(np.random.PCG64(seed)),
-                track_errors=True,
-            )
-        if store == "stream_summary":
-            return StreamSummaryBinStore(rng=self._rng)
-        if store == "heap":
-            return HeapBinStore(rng=self._rng)
-        raise InvalidParameterError(
-            f"unknown store {store!r}; expected 'columnar', 'stream_summary' or 'heap'"
+        self._store = ColumnarCounterStore(
+            self._capacity,
+            generator=np.random.Generator(np.random.PCG64(seed)),
+            track_errors=True,
         )
 
     # ------------------------------------------------------------------
     # Ingestion
     # ------------------------------------------------------------------
     def update(self, item: Item, weight: float = 1.0) -> None:
-        """Process one raw row.
-
-        ``weight`` must be positive; the stream-summary store additionally
-        requires it to be an integer.  Use ``store="heap"`` for real-valued
-        streams.
-        """
+        """Process one raw row; ``weight`` must be positive and finite."""
         if weight <= 0 or not np.isfinite(weight):
             raise UnsupportedUpdateError(
                 "Deterministic Space Saving requires positive weights (finite)"
             )
-        store = self._store
-        if isinstance(store, ColumnarCounterStore):
-            self._record_update(weight)
-            store.apply_one(item, float(weight), always_replace=True)
-            return
         self._record_update(weight)
-        if item in store:
-            store.increment(item, weight)
-            return
-        if len(store) < self._capacity:
-            store.insert(item, weight)
-            self._acquisition_error[item] = 0.0
-            return
-        min_label = store.min_label()
-        min_count = store.get(min_label)
-        store.increment(min_label, weight)
-        store.relabel(min_label, item)
-        del self._acquisition_error[min_label]
-        self._acquisition_error[item] = min_count
+        self._store.apply_one(item, float(weight), always_replace=True)
 
     def update_batch(
         self,
@@ -147,59 +92,25 @@ class DeterministicSpaceSaving(FrequentItemSketch, SerializableSketch):
     ) -> "DeterministicSpaceSaving":
         """Batched ingestion: collapse duplicates, then apply weighted updates.
 
-        On the scalar stores this is equivalent to a scalar :meth:`update`
-        loop over the batch's collapsed ``(item, summed weight)`` pairs in
-        first-occurrence order, with the per-call bookkeeping hoisted.  The
-        columnar store applies the collapsed pairs in the kernel's phased
-        order instead (see :mod:`repro.core.columnar`); the deterministic
-        over-count bound is unaffected.  ``rows_processed`` counts raw rows.
+        The collapsed ``(item, summed weight)`` pairs are applied in the
+        kernel's phased order (see :mod:`repro.core.columnar`); the
+        deterministic over-count bound is unaffected.  ``rows_processed``
+        counts raw rows.
         """
-        if (
-            isinstance(self._store, ColumnarCounterStore)
-            and isinstance(items, np.ndarray)
-            and items.dtype != object
-        ):
+        if isinstance(items, np.ndarray) and items.dtype != object:
             unique, collapsed, row_count, total = collapse_batch_arrays(items, weights)
         else:
             unique, collapsed, row_count, total = collapse_batch(items, weights)
         if len(unique) == 0:
             return self
-        store = self._store
-        if isinstance(store, ColumnarCounterStore):
-            collapsed = np.ascontiguousarray(collapsed, dtype=np.float64)
-            # See the unbiased sketch: NaN passes a min() <= 0 test and
-            # +inf collides with the free-slot sentinel.
-            if not np.isfinite(collapsed).all() or collapsed.min() <= 0:
-                raise UnsupportedUpdateError(
-                    "Deterministic Space Saving requires positive weights (finite)"
-                )
-            store.apply_batch(unique, collapsed, always_replace=True)
-            self._rows_processed += row_count
-            self._total_weight += total
-            return self
-        if min(collapsed) <= 0:
+        collapsed = np.ascontiguousarray(collapsed, dtype=np.float64)
+        # See the unbiased sketch: NaN passes a min() <= 0 test and +inf
+        # collides with the free-slot sentinel.
+        if not np.isfinite(collapsed).all() or collapsed.min() <= 0:
             raise UnsupportedUpdateError(
-                "Deterministic Space Saving requires positive weights"
+                "Deterministic Space Saving requires positive weights (finite)"
             )
-        capacity = self._capacity
-        if all(item in store for item in unique):
-            store.increment_batch(list(zip(unique, collapsed)))
-        else:
-            acquisition_error = self._acquisition_error
-            for item, weight in zip(unique, collapsed):
-                if item in store:
-                    store.increment(item, weight)
-                    continue
-                if len(store) < capacity:
-                    store.insert(item, weight)
-                    acquisition_error[item] = 0.0
-                    continue
-                min_label = store.min_label()
-                min_count = store.get(min_label)
-                store.increment(min_label, weight)
-                store.relabel(min_label, item)
-                del acquisition_error[min_label]
-                acquisition_error[item] = min_count
+        self._store.apply_batch(unique, collapsed, always_replace=True)
         self._rows_processed += row_count
         self._total_weight += total
         return self
@@ -216,9 +127,7 @@ class DeterministicSpaceSaving(FrequentItemSketch, SerializableSketch):
 
     def acquisition_error(self, item: Item) -> float:
         """The ``ε_i`` over-count bound for a retained item (0 if absent)."""
-        if isinstance(self._store, ColumnarCounterStore):
-            return self._store.acquisition_error(item)
-        return self._acquisition_error.get(item, 0.0)
+        return self._store.acquisition_error(item)
 
     def lower_bound(self, item: Item) -> float:
         """Guaranteed lower bound ``N̂_i − ε_i`` on the true count of ``item``."""
@@ -279,65 +188,21 @@ class DeterministicSpaceSaving(FrequentItemSketch, SerializableSketch):
     # Serialization (repro.io contract)
     # ------------------------------------------------------------------
     def _serial_state(self):
+        bins_meta, arrays = frame_bins(self._store)
         meta = {
             "capacity": self._capacity,
-            "store": self._store_kind,
             "rows_processed": self._rows_processed,
             "total_weight": self._total_weight,
             "rng_state": rng_state_to_jsonable(self._rng.getstate()),
-        }
-        if isinstance(self._store, ColumnarCounterStore):
-            rows = self._store.state_rows()
-            meta["active_store"] = "columnar"
-            meta["labels"] = [encode_item(label) for label, _, _, _ in rows]
-            meta["kernel_rng_state"] = self._store.generator_state()
-            arrays = {
-                "counts": np.asarray([c for _, c, _, _ in rows], dtype=np.float64),
-                "priorities": np.asarray([p for _, _, p, _ in rows], dtype=np.float64),
-                "acquisition_errors": np.asarray(
-                    [e for _, _, _, e in rows], dtype=np.float64
-                ),
-            }
-            return meta, arrays
-        labels: List[object] = []
-        counts: List[float] = []
-        errors: List[float] = []
-        for label, count in self._store.items():
-            labels.append(encode_item(label))
-            counts.append(float(count))
-            errors.append(float(self._acquisition_error.get(label, 0.0)))
-        meta["labels"] = labels
-        arrays = {
-            "counts": np.asarray(counts, dtype=np.float64),
-            "acquisition_errors": np.asarray(errors, dtype=np.float64),
+            **bins_meta,
         }
         return meta, arrays
 
     @classmethod
     def _from_serial_state(cls, meta, arrays):
-        sketch = cls(int(meta["capacity"]), store=meta["store"])
-        # Frames written before the columnar store carry no "active_store"
-        # key; their store kind names the active scalar store directly.
-        if meta.get("active_store") == "columnar":
-            store = sketch._store
-            for label, count, priority, error in zip(
-                meta["labels"],
-                arrays["counts"],
-                arrays["priorities"],
-                arrays["acquisition_errors"],
-            ):
-                store.restore_bin(
-                    decode_item(label), float(count), float(priority), float(error)
-                )
-            store.set_generator_state(meta["kernel_rng_state"])
-        else:
-            for label, count, error in zip(
-                meta["labels"], arrays["counts"], arrays["acquisition_errors"]
-            ):
-                item = decode_item(label)
-                sketch._store.insert(item, float(count))
-                sketch._acquisition_error[item] = float(error)
+        sketch = cls(int(meta["capacity"]))
+        sketch._rng.setstate(rng_state_from_jsonable(meta["rng_state"]))
+        restore_frame_bins(sketch._store, meta, arrays, sketch._rng)
         sketch._rows_processed = int(meta["rows_processed"])
         sketch._total_weight = float(meta["total_weight"])
-        sketch._rng.setstate(rng_state_from_jsonable(meta["rng_state"]))
         return sketch

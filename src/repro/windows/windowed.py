@@ -551,7 +551,7 @@ class _PaneRingSketch(SerializableSketch):
         target = int(capacity) if capacity is not None else self._size
         merge_seed = seed if seed is not None else self._seed
         if not panes:
-            return UnbiasedSpaceSaving(target, seed=merge_seed, store="heap")
+            return UnbiasedSpaceSaving(target, seed=merge_seed)
         if not all(isinstance(pane, UnbiasedSpaceSaving) for pane in panes):
             raise CapabilityError(
                 f"merged() requires Unbiased Space Saving panes; "
@@ -593,6 +593,17 @@ class _PaneRingSketch(SerializableSketch):
             for index in indices
         }
         return meta, arrays
+
+    @staticmethod
+    def _frame_spec_params(meta) -> Dict[str, Any]:
+        """The frame's spec extras, minus the retired Space Saving ``store``.
+
+        Frames written while the Space Saving specs accepted ``store=``
+        may carry it; the panes load into the one counter store regardless.
+        """
+        params = dict(meta["spec_params"])
+        params.pop("store", None)
+        return params
 
     @classmethod
     def _restore_common(cls, sketch: "_PaneRingSketch", meta, arrays) -> "_PaneRingSketch":
@@ -705,7 +716,7 @@ class TumblingWindowSketch(_PaneRingSketch):
             retain=int(policy["retain"]),
             seed=meta["seed"],
             origin=float(meta["origin"]),
-            **meta["spec_params"],
+            **cls._frame_spec_params(meta),
         )
         return cls._restore_common(sketch, meta, arrays)
 
@@ -785,6 +796,6 @@ class SlidingWindowSketch(_PaneRingSketch):
             spec=meta["spec"],
             seed=meta["seed"],
             origin=float(meta["origin"]),
-            **meta["spec_params"],
+            **cls._frame_spec_params(meta),
         )
         return cls._restore_common(sketch, meta, arrays)

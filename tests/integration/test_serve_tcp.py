@@ -524,6 +524,72 @@ class TestTCPHardening:
 
         run(scenario())
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_adopt_refuses_non_finite_frame(self, bad):
+        """A frame whose counts the kernel cannot order never becomes a session."""
+        import base64
+
+        from repro.io.codec import pack_envelope
+
+        sketch = repro.UnbiasedSpaceSaving(3, seed=0)
+        sketch.update_batch(["a", "b", "b", "c", "c", "c"])
+        meta, arrays = sketch._serial_state()
+        arrays["counts"][0] = bad
+        frame = base64.b64encode(
+            pack_envelope("UnbiasedSpaceSaving", meta, arrays)
+        ).decode("ascii")
+
+        async def scenario():
+            server = SketchServer()
+            host, port = await server.start_tcp("127.0.0.1", 0)
+            try:
+                reader, writer = await asyncio.open_connection(host, port)
+                await reader.readline()  # hello banner
+                response = await _raw_call(reader, writer, {
+                    "id": 1, "op": "adopt", "session": "s", "frame": frame,
+                    "spec": "unbiased_space_saving",
+                })
+                assert response["ok"] is False
+                assert response["error"]["type"] == "SerializationError"
+                # The connection survived and no session was created.
+                listed = await _raw_call(reader, writer, {"id": 2, "op": "list"})
+                assert listed["ok"] is True
+                assert listed["result"]["sessions"] == []
+                pong = await _raw_call(reader, writer, {"id": 3, "op": "ping"})
+                assert pong["result"]["pong"] is True
+                writer.close()
+                await writer.wait_closed()
+            finally:
+                await server.stop()
+
+        run(scenario())
+
+    @pytest.mark.parametrize(
+        "spec", ["unbiased_space_saving", "deterministic_space_saving"]
+    )
+    def test_create_with_store_param_is_refused(self, spec):
+        async def scenario():
+            server = SketchServer()
+            host, port = await server.start_tcp("127.0.0.1", 0)
+            try:
+                reader, writer = await asyncio.open_connection(host, port)
+                await reader.readline()  # hello banner
+                response = await _raw_call(reader, writer, {
+                    "id": 1, "op": "create", "session": "s", "spec": spec,
+                    "size": 16, "seed": 0, "params": {"store": "heap"},
+                })
+                assert response["ok"] is False
+                assert response["error"]["type"] == "InvalidParameterError"
+                assert "accepted extras: []" in response["error"]["message"]
+                listed = await _raw_call(reader, writer, {"id": 2, "op": "list"})
+                assert listed["result"]["sessions"] == []
+                writer.close()
+                await writer.wait_closed()
+            finally:
+                await server.stop()
+
+        run(scenario())
+
     def test_metrics_op_returns_live_counters(self):
         async def scenario():
             server, client = await _tcp_server()

@@ -21,11 +21,9 @@ import random
 import numpy as np
 import pytest
 
-from repro.core.base import HeapBinStore, StreamSummaryBinStore
 from repro.core.batching import collapse_batch
 from repro.core.deterministic_space_saving import DeterministicSpaceSaving
 from repro.core.merge import merge_many_unbiased
-from repro.core.stream_summary import StreamSummary
 from repro.core.unbiased_space_saving import UnbiasedSpaceSaving
 from repro.distributed.partition import hash_partition_batch, stable_shard
 from repro.distributed.sharded import ShardedSketch
@@ -110,7 +108,14 @@ class _ExactCounterSketch(FrequentItemSketch):
 
 SKETCH_FACTORIES = [
     pytest.param(lambda seed: UnbiasedSpaceSaving(24, seed=seed), id="uss"),
-    pytest.param(lambda seed: UnbiasedSpaceSaving(24, seed=seed, store="heap"), id="uss-heap"),
+    # A sketch bulk-filled from reduced (fractional) bins, as the merge and
+    # window read paths build it, must keep ingesting like any other.
+    pytest.param(
+        lambda seed: UnbiasedSpaceSaving.from_bins(
+            24, {-1: 2.5, -2: 1.0, -3: 0.5}, seed=seed
+        ),
+        id="uss-from-bins",
+    ),
     pytest.param(lambda seed: DeterministicSpaceSaving(24, seed=seed), id="dss"),
     pytest.param(lambda seed: MisraGriesSketch(24, seed=seed), id="misra-gries"),
     pytest.param(lambda seed: CountMinSketch(width=128, depth=4, seed=seed), id="countmin"),
@@ -311,39 +316,6 @@ def test_countmin_heavy_tracking_matches_collapsed_loop_under_collisions():
         scalar.update(item, weight)
     batched.update_batch(rows)
     assert batched._heavy_members == scalar._heavy_members
-
-
-# ----------------------------------------------------------------------
-# Bulk bin-store / stream-summary increments
-# ----------------------------------------------------------------------
-class TestBulkIncrements:
-    def test_stream_summary_increment_many(self):
-        sequential, bulk = StreamSummary(), StreamSummary()
-        for summary in (sequential, bulk):
-            for label in "abcd":
-                summary.insert(label, 1)
-        pairs = [("a", 2), ("c", 5), ("b", 0), ("d", 2)]
-        for label, by in pairs:
-            sequential.increment(label, by)
-        bulk.increment_many(pairs)
-        assert bulk.counts() == sequential.counts()
-        bulk.check_invariants()
-
-    def test_stream_summary_increment_many_validates_before_applying(self):
-        summary = StreamSummary()
-        summary.insert("a", 1)
-        with pytest.raises(KeyError):
-            summary.increment_many([("a", 1), ("missing", 1)])
-        # Validation happens before any mutation.
-        assert summary.counts() == {"a": 1}
-
-    @pytest.mark.parametrize("store_cls", [StreamSummaryBinStore, HeapBinStore])
-    def test_bin_store_increment_batch(self, store_cls):
-        store = store_cls(rng=random.Random(0))
-        for label in "xyz":
-            store.insert(label, 1.0)
-        store.increment_batch([("x", 2.0), ("z", 3.0)])
-        assert store.counts() == {"x": 3.0, "y": 1.0, "z": 4.0}
 
 
 # ----------------------------------------------------------------------

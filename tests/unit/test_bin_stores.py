@@ -1,131 +1,12 @@
-"""Unit tests for the BinStore implementations."""
+"""Unit tests for the columnar counter store."""
 
 from __future__ import annotations
-
-import random
 
 import numpy as np
 import pytest
 
-from repro.core.base import HeapBinStore, StreamSummaryBinStore
 from repro.core.columnar import ColumnarCounterStore, resolve_kernel_name
-from repro.errors import (
-    EmptySketchError,
-    InvalidParameterError,
-    UnsupportedUpdateError,
-)
-
-STORES = [StreamSummaryBinStore, HeapBinStore]
-
-
-@pytest.mark.parametrize("store_cls", STORES)
-class TestCommonBehaviour:
-    def test_insert_get_len_contains(self, store_cls):
-        store = store_cls()
-        store.insert("a", 2)
-        store.insert("b", 5)
-        assert len(store) == 2
-        assert "a" in store and "c" not in store
-        assert store.get("a") == 2.0
-        assert store.get("c", 9.0) == 9.0
-
-    def test_duplicate_insert_rejected(self, store_cls):
-        store = store_cls()
-        store.insert("a", 1)
-        with pytest.raises(InvalidParameterError):
-            store.insert("a", 1)
-
-    def test_increment_and_min_tracking(self, store_cls):
-        store = store_cls()
-        store.insert("a", 1)
-        store.insert("b", 4)
-        assert store.min_label() == "a"
-        assert store.min_count() == 1.0
-        store.increment("a", 10)
-        assert store.min_label() == "b"
-        assert store.min_count() == 4.0
-
-    def test_remove_returns_count(self, store_cls):
-        store = store_cls()
-        store.insert("a", 3)
-        assert store.remove("a") == 3.0
-        assert len(store) == 0
-
-    def test_relabel_keeps_count(self, store_cls):
-        store = store_cls()
-        store.insert("old", 6)
-        store.relabel("old", "new")
-        assert store.get("new") == 6.0
-        assert "old" not in store
-
-    def test_counts_snapshot(self, store_cls):
-        store = store_cls()
-        store.insert("a", 1)
-        store.insert("b", 2)
-        assert store.counts() == {"a": 1.0, "b": 2.0}
-
-    def test_random_tie_breaking(self, store_cls):
-        store = store_cls(rng=random.Random(3))
-        for label in "abcdef":
-            store.insert(label, 2)
-        picks = {store.min_label() for _ in range(40)}
-        assert picks <= set("abcdef")
-        assert len(picks) > 1
-
-
-class TestStreamSummaryStoreSpecifics:
-    def test_rejects_fractional_counts(self):
-        store = StreamSummaryBinStore()
-        with pytest.raises(UnsupportedUpdateError):
-            store.insert("a", 1.5)
-        store.insert("b", 1)
-        with pytest.raises(UnsupportedUpdateError):
-            store.increment("b", 0.5)
-
-    def test_invariant_check_passes(self):
-        store = StreamSummaryBinStore()
-        for index in range(20):
-            store.insert(index, index % 5)
-        store.check_invariants()
-
-
-class TestHeapStoreSpecifics:
-    def test_supports_fractional_counts(self):
-        store = HeapBinStore()
-        store.insert("a", 0.25)
-        store.increment("a", 0.75)
-        assert store.get("a") == pytest.approx(1.0)
-
-    def test_min_on_empty_raises(self):
-        with pytest.raises(EmptySketchError):
-            HeapBinStore().min_count()
-
-    def test_negative_insert_and_increment_rejected(self):
-        store = HeapBinStore()
-        with pytest.raises(InvalidParameterError):
-            store.insert("a", -1.0)
-        store.insert("b", 1.0)
-        with pytest.raises(InvalidParameterError):
-            store.increment("b", -0.5)
-
-    def test_min_tracking_with_many_lazy_updates(self):
-        rng = random.Random(11)
-        store = HeapBinStore()
-        reference = {}
-        for index in range(200):
-            label = f"item{index % 40}"
-            if label in reference:
-                delta = rng.random()
-                store.increment(label, delta)
-                reference[label] += delta
-            else:
-                value = rng.random() * 5
-                store.insert(label, value)
-                reference[label] = value
-            expected_min = min(reference.values())
-            assert store.min_count() == pytest.approx(expected_min)
-            assert reference[store.min_label()] == pytest.approx(expected_min)
-
+from repro.errors import EmptySketchError, InvalidParameterError
 
 def make_columnar(capacity=8, *, seed=0, **kwargs) -> ColumnarCounterStore:
     generator = np.random.Generator(np.random.PCG64(seed))
@@ -133,13 +14,10 @@ def make_columnar(capacity=8, *, seed=0, **kwargs) -> ColumnarCounterStore:
 
 
 class TestColumnarStoreSpecifics:
-    """The struct-of-arrays store behind the default Space Saving path.
+    """The struct-of-arrays store behind both Space Saving sketches.
 
-    Tie-breaking differs from the scalar stores by design: the minimum
-    is (count, priority, slot)-lexicographic with priorities redrawn on
-    every count change, rather than an rng pick at query time — so
-    repeated min_label() calls are stable between updates, and the
-    common random-tie-breaking test above does not apply.
+    The minimum is (count, priority, slot)-lexicographic with priorities
+    redrawn on every count change, rather than an rng pick at query time.
     """
 
     def test_insert_get_len_contains(self):
@@ -157,10 +35,10 @@ class TestColumnarStoreSpecifics:
         store.insert("a", 1)
         with pytest.raises(InvalidParameterError):
             store.insert("a", 1)
-        with pytest.raises(InvalidParameterError):
-            store.insert("b", -1.0)
-        with pytest.raises(InvalidParameterError):
-            store.increment("a", -0.5)
+        for bad in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(InvalidParameterError):
+                store.insert("b", bad)
+        assert dict(store.items()) == {"a": 1.0}
 
     def test_capacity_is_enforced(self):
         store = make_columnar(capacity=2)
@@ -169,45 +47,90 @@ class TestColumnarStoreSpecifics:
         with pytest.raises(InvalidParameterError):
             store.insert("c", 1)
 
-    def test_increment_and_min_tracking(self):
+    def test_apply_one_increment_and_min_tracking(self):
         store = make_columnar()
         store.insert("a", 1)
         store.insert("b", 4)
-        assert store.min_label() == "a"
         assert store.min_count() == 1.0
-        store.increment("a", 10)
-        assert store.min_label() == "b"
+        assert store.apply_one("a", 10.0) == 0
+        assert store.get("a") == 11.0
         assert store.min_count() == 4.0
 
     def test_min_on_empty_raises(self):
         with pytest.raises(EmptySketchError):
             make_columnar().min_count()
 
-    def test_remove_recycles_the_slot(self):
-        store = make_columnar(capacity=2)
+    def test_min_count_ignores_free_slots(self):
+        # Free slots hold the FREE_SLOT sentinel; they never pose as the minimum.
+        store = make_columnar(capacity=8)
         store.insert("a", 3)
-        store.insert("b", 7)
-        assert store.remove("a") == 3.0
-        assert len(store) == 1 and "a" not in store
-        # The freed slot is available again despite the store being
-        # physically full before the removal.
-        store.insert("c", 1)
-        assert dict(store.items()) == {"b": 7.0, "c": 1.0}
+        store.insert("b", 5)
+        assert store.min_count() == 3.0
 
-    def test_relabel_keeps_count(self):
+    def test_counts_snapshot(self):
         store = make_columnar()
-        store.insert("old", 6)
-        store.relabel("old", "new")
-        assert store.get("new") == 6.0
-        assert "old" not in store
-        with pytest.raises(InvalidParameterError):
-            store.relabel("new", "new")
+        store.insert("a", 1)
+        store.insert("b", 2.5)
+        snapshot = store.counts()
+        assert snapshot == {"a": 1.0, "b": 2.5}
+        snapshot["a"] = 99.0
+        assert store.get("a") == 1.0
+
+    def test_numpy_scalar_labels_are_lowered(self):
+        store = make_columnar()
+        store.insert(np.int64(4), 1)
+        store.apply_one(np.int32(5), 2.0)
+        assert [type(item) for item, _ in store.items()] == [int, int]
+        assert store._int_labels is True
+        assert 4 in store and store.get(5) == 2.0
+        store.insert(np.str_("s"), 1)
+        assert type(next(item for item in store.counts() if item == "s")) is str
+        assert store._int_labels is False
+
+    def test_apply_one_returns_replacements(self):
+        store = make_columnar(capacity=2)
+        assert store.apply_one("a", 1.0) == 0  # free slot
+        assert store.apply_one("a", 1.0) == 0  # present label
+        assert store.apply_one("b", 3.0) == 0
+        assert store.apply_one("c", 1.0, always_replace=True) == 1
+        assert store.counts() == {"c": 3.0, "b": 3.0}
+
+    def test_contested_row_records_the_evicted_level(self):
+        store = make_columnar(capacity=3, track_errors=True)
+        for label, count in (("a", 4), ("b", 2), ("c", 7)):
+            store.insert(label, count)
+        store.apply_one("d", 1.0, always_replace=True)
+        assert store.counts() == {"a": 4.0, "d": 3.0, "c": 7.0}
+        assert store.acquisition_error("d") == 2.0
+        assert store.acquisition_error("b") == 0.0
+
+    def test_apply_batch_of_members_is_a_scatter_add(self):
+        store = make_columnar(capacity=4)
+        for label in "xyz":
+            store.insert(label, 1.0)
+        assert store.apply_batch(["x", "z"], [2.0, 3.0]) == 0
+        assert store.counts() == {"x": 3.0, "y": 1.0, "z": 4.0}
+
+    def test_empty_batch_draws_nothing(self):
+        store = make_columnar()
+        store.insert("a", 1)
+        state = store.generator_state()
+        assert store.apply_batch([], []) == 0
+        assert store.generator_state() == state
+        assert store.counts() == {"a": 1.0}
+
+    def test_fill_with_priorities_draws_nothing(self):
+        store = make_columnar()
+        state = store.generator_state()
+        store.fill(["a", "b"], [1.0, 2.0], priorities=[0.25, 0.75])
+        assert store.generator_state() == state
+        assert [priority for _, _, priority, _ in store.state_rows()] == [0.25, 0.75]
 
     def test_priorities_refresh_on_count_change(self):
         store = make_columnar()
         store.insert("a", 1)
         (_, _, before, _), = store.state_rows()
-        store.increment("a", 1)
+        store.apply_one("a", 1.0)
         (_, _, after, _), = store.state_rows()
         assert before != after
 
@@ -216,11 +139,12 @@ class TestColumnarStoreSpecifics:
         # to the first-inserted label.
         picks = set()
         for seed in range(12):
-            store = make_columnar(seed=seed)
+            store = make_columnar(capacity=6, seed=seed)
             for label in "abcdef":
                 store.insert(label, 2)
-            picks.add(store.min_label())
-        assert picks <= set("abcdef")
+            store.apply_one("g", 1.0, always_replace=True)
+            (evicted,) = set("abcdef") - set(store.counts())
+            picks.add(evicted)
         assert len(picks) > 1
 
     def test_error_tracking_is_optional(self):
@@ -228,22 +152,86 @@ class TestColumnarStoreSpecifics:
         untracked.insert("a", 1)
         assert untracked.acquisition_error("a") == 0.0
         tracked = make_columnar(track_errors=True)
-        tracked.restore_bin("a", 5.0, 0.5, error=2.0)
+        tracked.fill(["a"], [5.0], priorities=[0.5], errors=[2.0])
         assert tracked.acquisition_error("a") == 2.0
 
-    def test_restore_bin_rebuilds_exact_state(self):
-        store = make_columnar()
+    def test_fill_rebuilds_exact_state(self):
+        store = make_columnar(track_errors=True)
         store.insert("a", 2)
-        store.increment("a", 3)
+        store.insert(7, 1)
+        store.apply_one("a", 3.0)
+        store.apply_one("b", 4.0)
         rows = store.state_rows()
         state = store.generator_state()
-        clone = make_columnar()
-        for item, count, priority, error in rows:
-            clone.restore_bin(item, count, priority, error)
+        clone = make_columnar(track_errors=True)
+        clone.fill(
+            [item for item, _, _, _ in rows],
+            [count for _, count, _, _ in rows],
+            priorities=[priority for _, _, priority, _ in rows],
+            errors=[error for _, _, _, error in rows],
+        )
         clone.set_generator_state(state)
         assert clone.state_rows() == rows
+        assert clone.generator_state() == state
         with pytest.raises(InvalidParameterError):
-            clone.restore_bin("a", 1.0, 0.5)
+            clone.fill(["c"], [1.0])
+
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            [5, 3, 11, 0],
+            ["x", "y", "z"],
+            [1, "a", 2.5, ("t", 1), None],
+            [np.int64(4), np.int32(-2), np.str_("s"), np.float64(0.5)],
+        ],
+        ids=["int", "str", "mixed", "numpy-scalar"],
+    )
+    def test_fill_equals_an_insert_loop(self, labels):
+        counts = [float(position + 1) * 1.5 for position in range(len(labels))]
+        looped = make_columnar(seed=21)
+        for label, count in zip(labels, counts):
+            looped.insert(label, count)
+        filled = make_columnar(seed=21)
+        filled.fill(labels, counts)
+        assert filled.state_rows() == looped.state_rows()
+        assert [type(item) for item, *_ in filled.state_rows()] == [
+            type(item) for item, *_ in looped.state_rows()
+        ]
+        assert filled._int_labels is looped._int_labels
+        assert filled.generator_state() == looped.generator_state()
+        # Both continue identically: the next free slot and draw agree.
+        looped.apply_one("next", 1.0)
+        filled.apply_one("next", 1.0)
+        assert filled.state_rows() == looped.state_rows()
+
+    @pytest.mark.parametrize(
+        "counts, priorities",
+        [
+            ([float("nan"), 2.0], None),
+            ([float("inf"), 2.0], None),
+            ([-1.0, 2.0], None),
+            ([1.0, 2.0], [0.5, float("nan")]),
+            ([1.0, 2.0], [0.5, float("inf")]),
+        ],
+        ids=["nan-count", "inf-count", "negative-count", "nan-priority", "inf-priority"],
+    )
+    def test_fill_rejects_non_finite_bins(self, counts, priorities):
+        store = make_columnar()
+        with pytest.raises(InvalidParameterError):
+            store.fill(["a", "b"], counts, priorities=priorities)
+        assert len(store) == 0
+
+    def test_fill_rejects_bad_shapes_and_duplicates(self):
+        with pytest.raises(InvalidParameterError):
+            make_columnar().fill(["a", "b"], [1.0])
+        with pytest.raises(InvalidParameterError):
+            make_columnar().fill(["a"], [1.0], priorities=[0.1, 0.2])
+        with pytest.raises(InvalidParameterError):
+            make_columnar(track_errors=True).fill(["a"], [1.0], errors=[0.0, 1.0])
+        with pytest.raises(InvalidParameterError):
+            make_columnar().fill(["a", "a"], [1.0, 2.0])
+        with pytest.raises(InvalidParameterError):
+            make_columnar(capacity=1).fill(["a", "b"], [1.0, 2.0])
 
     def test_apply_one_matches_apply_batch_of_one(self):
         one = make_columnar(capacity=2, seed=9)

@@ -56,6 +56,20 @@ class TestForwardDecaySketch:
         estimate = sketch.decayed_estimate("a", at_time=10.0)
         assert estimate == pytest.approx(math.exp(-rate * 7.0))
 
+    def test_saturated_sketch_preserves_the_decayed_total(self):
+        # Forward-decayed weights are fractional; once the bins are full the
+        # contested rows still add their exact weight to the sketch total.
+        rate = 0.05
+        sketch = ForwardDecaySketch(capacity=3, decay=exponential_decay(rate), seed=4)
+        timestamps = [0.5 * index for index in range(40)]
+        for index, timestamp in enumerate(timestamps):
+            sketch.update(f"item{index % 9}", timestamp=timestamp)
+        assert len(sketch.decayed_estimates()) == 3
+        expected = sum(math.exp(-rate * (timestamps[-1] - t)) for t in timestamps)
+        assert sum(sketch.decayed_estimates(at_time=timestamps[-1]).values()) == pytest.approx(
+            expected
+        )
+
     def test_timestamp_before_landmark_rejected(self):
         sketch = ForwardDecaySketch(
             capacity=4, decay=exponential_decay(0.1), landmark=10.0

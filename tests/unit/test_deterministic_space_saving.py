@@ -15,9 +15,11 @@ class TestConstruction:
         with pytest.raises(InvalidParameterError):
             DeterministicSpaceSaving(0)
 
-    def test_unknown_store_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            DeterministicSpaceSaving(4, store="nope")
+    def test_store_option_is_gone(self):
+        # The columnar store is the only one; no store= keyword is accepted.
+        for store in ("columnar", "heap", "stream_summary"):
+            with pytest.raises(TypeError):
+                DeterministicSpaceSaving(4, store=store)
 
     def test_capacity_property(self):
         assert DeterministicSpaceSaving(7).capacity == 7
@@ -142,15 +144,36 @@ class TestWeightsAndErrors:
         with pytest.raises(UnsupportedUpdateError):
             sketch.update("a", -2)
 
-    def test_integer_weights_on_stream_summary_store(self):
+    def test_integer_weights(self):
         sketch = DeterministicSpaceSaving(capacity=3)
         sketch.update("a", 5)
         assert sketch.estimate("a") == 5
 
-    def test_float_weights_require_heap_store(self):
-        sketch = DeterministicSpaceSaving(capacity=3, store="heap")
+    def test_float_weights(self):
+        sketch = DeterministicSpaceSaving(capacity=3)
         sketch.update("a", 2.5)
         assert sketch.estimate("a") == pytest.approx(2.5)
+
+    def test_update_equals_single_row_batches(self):
+        # The per-row path is the k = 1 case of the batch kernel, draw for
+        # draw, acquisition errors included.
+        rows = [("a", 1.0), ("b", 2.5), ("c", 1.0), ("a", 0.5), ("d", 3.0), ("e", 1.0)] * 4
+        looped = DeterministicSpaceSaving(3, seed=12)
+        batched = DeterministicSpaceSaving(3, seed=12)
+        for item, weight in rows:
+            looped.update(item, weight)
+            batched.update_batch([item], [weight])
+        assert looped.bins() == batched.bins()
+        assert looped._store.state_rows() == batched._store.state_rows()
+
+    def test_non_finite_weights_rejected(self):
+        sketch = DeterministicSpaceSaving(capacity=3)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(UnsupportedUpdateError):
+                sketch.update("a", bad)
+            with pytest.raises(UnsupportedUpdateError):
+                sketch.update_batch(["a"], [bad])
+        assert sketch.estimates() == {}
 
     def test_bins_expose_acquisition_error(self):
         sketch = DeterministicSpaceSaving(capacity=2, seed=8)

@@ -32,7 +32,13 @@ from repro.frequent.lossy_counting import LossyCountingSketch
 from repro.frequent.misra_gries import MisraGriesSketch
 from repro.frequent.sticky_sampling import StickySamplingSketch
 from repro.io import SCHEMA_VERSION, load_bytes, load_dict, registered_types
-from repro.io.codec import decode_item, encode_item, pack_envelope, unpack_envelope
+from repro.io.codec import (
+    decode_item,
+    encode_item,
+    envelope_to_dict,
+    pack_envelope,
+    unpack_envelope,
+)
 from repro.sampling.bottom_k import BottomKSketch
 from repro.sampling.priority import PrioritySample, StreamingPrioritySampler
 from repro.sampling.reservoir import ReservoirSampler
@@ -52,7 +58,12 @@ def _probe_items(rows):
 
 FREQUENT_FACTORIES = [
     pytest.param(lambda: UnbiasedSpaceSaving(32, seed=SEED), id="uss"),
-    pytest.param(lambda: UnbiasedSpaceSaving(32, seed=SEED, store="heap"), id="uss-heap"),
+    pytest.param(
+        lambda: UnbiasedSpaceSaving.from_bins(
+            32, {-1: 2.5, -2: 1.0, -3: 0.5}, seed=SEED
+        ),
+        id="uss-from-bins",
+    ),
     pytest.param(lambda: DeterministicSpaceSaving(32, seed=SEED), id="dss"),
     pytest.param(lambda: MisraGriesSketch(32, seed=SEED), id="misra-gries"),
     pytest.param(lambda: LossyCountingSketch(epsilon=0.01), id="lossy"),
@@ -290,6 +301,42 @@ def test_negative_array_size_is_refused():
     corrupted = data[: match.start()] + replacement + data[match.end() :]
     with pytest.raises(SerializationError, match="negative size"):
         UnbiasedSpaceSaving.from_bytes(corrupted)
+
+
+@pytest.mark.parametrize(
+    "make", [UnbiasedSpaceSaving, DeterministicSpaceSaving], ids=["uss", "dss"]
+)
+@pytest.mark.parametrize(
+    "column, bad",
+    [
+        ("counts", float("nan")),
+        ("counts", float("inf")),
+        ("counts", -1.0),
+        ("priorities", float("nan")),
+    ],
+    ids=["nan-count", "inf-count", "negative-count", "nan-priority"],
+)
+def test_non_finite_bins_are_refused(make, column, bad):
+    # A loaded NaN count would hang the next update_batch in the level
+    # sweep, and an inf count could never be evicted.
+    sketch = make(3, seed=SEED)
+    sketch.update_batch(["a", "b", "b", "c"])
+    meta, arrays = sketch._serial_state()
+    arrays[column][0] = bad
+    frame = pack_envelope(type(sketch).__name__, meta, arrays)
+    with pytest.raises(SerializationError):
+        load_bytes(frame)
+    with pytest.raises(SerializationError):
+        type(sketch).from_dict(envelope_to_dict(type(sketch).__name__, meta, arrays))
+
+
+def test_mismatched_bin_columns_are_refused():
+    sketch = UnbiasedSpaceSaving(4, seed=SEED)
+    sketch.update_batch(["a", "b", "c"])
+    meta, arrays = sketch._serial_state()
+    arrays["priorities"] = arrays["priorities"][:2]
+    with pytest.raises(SerializationError):
+        load_bytes(pack_envelope("UnbiasedSpaceSaving", meta, arrays))
 
 
 def test_unknown_type_dispatch_is_refused():

@@ -15,9 +15,11 @@ class TestConstruction:
         with pytest.raises(InvalidParameterError):
             UnbiasedSpaceSaving(0)
 
-    def test_unknown_store_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            UnbiasedSpaceSaving(5, store="bogus")
+    def test_store_option_is_gone(self):
+        # The columnar store is the only one; no store= keyword is accepted.
+        for store in ("columnar", "heap", "stream_summary"):
+            with pytest.raises(TypeError):
+                UnbiasedSpaceSaving(4, store=store)
 
     def test_from_bins_roundtrip(self):
         sketch = UnbiasedSpaceSaving.from_bins(
@@ -35,6 +37,60 @@ class TestConstruction:
     def test_from_bins_rejects_negative_counts(self):
         with pytest.raises(InvalidParameterError):
             UnbiasedSpaceSaving.from_bins(3, {"a": -1.0})
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_from_bins_rejects_non_finite_counts(self, bad):
+        # A NaN bin must not be dropped silently: it would poison total_weight.
+        with pytest.raises(InvalidParameterError):
+            UnbiasedSpaceSaving.from_bins(3, {"a": bad, "b": 2.0})
+
+    def test_from_bins_with_no_bins_is_an_empty_live_sketch(self):
+        sketch = UnbiasedSpaceSaving.from_bins(3, {}, seed=2)
+        assert sketch.estimates() == {}
+        assert sketch.total_weight == 0.0
+        sketch.update_batch(["a", "b", "a"])
+        assert sketch.estimates() == {"a": 2.0, "b": 1.0}
+
+    def test_update_equals_single_row_batches(self):
+        # The per-row path is the k = 1 case of the batch kernel, draw for draw.
+        rows = [("a", 1.0), ("b", 2.5), ("c", 1.0), ("a", 0.5), ("d", 3.0), ("e", 1.0)] * 4
+        looped = UnbiasedSpaceSaving(3, seed=12)
+        batched = UnbiasedSpaceSaving(3, seed=12)
+        for item, weight in rows:
+            looped.update(item, weight)
+            batched.update_batch([item], [weight])
+        assert looped._store.state_rows() == batched._store.state_rows()
+        assert looped.total_weight == batched.total_weight
+        assert looped.rows_processed == batched.rows_processed
+
+    def test_from_bins_drops_zero_bins(self):
+        sketch = UnbiasedSpaceSaving.from_bins(3, {"a": 0.0, "b": 2.0, "c": 0.5})
+        assert sketch.estimates() == {"b": 2.0, "c": 0.5}
+        assert sketch.total_weight == 2.5
+
+    @pytest.mark.parametrize(
+        "bins",
+        [
+            {5: 3.0, 1: 0.5, 9: 2.25},
+            {"x": 1.0, "y": 4.5, "z": 2.0},
+            {1: 1.5, "a": 2.0, ("t", 2): 0.75, 2.5: 3.0, None: 1.0},
+            {np.int64(3): 2.0, np.str_("s"): 1.0, np.float64(0.5): 4.0},
+        ],
+        ids=["int", "str", "mixed", "numpy-scalar"],
+    )
+    def test_from_bins_equals_a_per_bin_insert_loop(self, bins):
+        bulk = UnbiasedSpaceSaving.from_bins(8, bins, seed=5)
+        looped = UnbiasedSpaceSaving(8, seed=5)
+        for label, count in bins.items():
+            looped._store.insert(label, count)
+        assert list(bulk._store.items()) == list(looped._store.items())
+        assert bulk._store.state_rows() == looped._store.state_rows()
+        assert bulk._store._int_labels is looped._store._int_labels
+        assert bulk._store.generator_state() == looped._store.generator_state()
+        rows = ["new", 5, "x", "fresh", 7, 8, 9]
+        bulk.update_batch(rows)
+        looped.update_batch(rows)
+        assert bulk._store.state_rows() == looped._store.state_rows()
 
 
 class TestExactRegime:
@@ -193,13 +249,8 @@ class TestWeightedUpdates:
         assert sketch.estimate("b") == pytest.approx(1.5)
         assert sketch.total_estimate() == pytest.approx(3.5)
 
-    def test_stream_summary_store_rejects_float_weights(self):
-        sketch = UnbiasedSpaceSaving(capacity=4, store="stream_summary")
-        with pytest.raises(UnsupportedUpdateError):
-            sketch.update("a", 0.5)
-
     def test_weighted_total_preserved_when_saturated(self):
-        sketch = UnbiasedSpaceSaving(capacity=3, seed=14, store="heap")
+        sketch = UnbiasedSpaceSaving(capacity=3, seed=14)
         total = 0.0
         rng = np.random.default_rng(0)
         for index in range(100):

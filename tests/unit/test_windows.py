@@ -171,6 +171,13 @@ class TestPaneRing:
         assert sketch.top_k(3) == []
         assert sketch.merged().estimates() == {}
 
+    def test_empty_merged_sketch_takes_fractional_weights(self):
+        merged = SlidingWindowSketch(16, horizon="20s", pane="10s", seed=3).merged()
+        merged.update("a", 0.25)
+        merged.update_batch(["a", "b"], [0.5, 1.5])
+        assert merged.estimates() == {"a": 0.75, "b": 1.5}
+        assert merged.total_weight == 2.25
+
 
 # ----------------------------------------------------------------------
 # Windowed queries
