@@ -867,6 +867,28 @@ def test_throughput_windowed_batched(benchmark, workload_array):
     assert sketch.rows_processed == len(workload_array)
 
 
+def test_windowed_read_after_write(benchmark):
+    # One 512-row write, then the two reads it invalidates, on a full
+    # ring of ten 60 s panes x 1024 string bins (6 s of stream per write).
+    rng = np.random.default_rng(0)
+    batches = [[f"u{i}" for i in (rng.zipf(1.2, 512) % 20_000).tolist()] for _ in range(64)]
+    offsets = np.sort(rng.random(512) * 6.0)
+    candidates = {f"u{i}" for i in rng.choice(20_000, 500, replace=False).tolist()}
+    sketch = SlidingWindowSketch(1024, horizon="600s", pane="60s", seed=0)
+    step = [0]
+
+    def write_then_read():
+        index = step[0]
+        step[0] += 1
+        sketch.update_batch(batches[index % 64], timestamps=index * 6.0 + offsets)
+        return sketch.top_k(10), sketch.subset_sum_with_error(candidates.__contains__)
+
+    for _ in range(200):  # fill all ten panes past saturation
+        write_then_read()
+    top, _ = benchmark(write_then_read)
+    assert len(top) == 10 and len(sketch.window_panes()) == 10
+
+
 def test_throughput_served_queue(benchmark, workload_array):
     # The full served ingest path — bounded queue, coalescing writer,
     # two concurrent producers — including the asyncio loop setup cost.

@@ -309,20 +309,15 @@ def frame_bins(
     and (when tracked) acquisition errors, plus the kernel generator
     state; :func:`restore_frame_bins` reads them back.
     """
-    rows = store.state_rows()
+    slots = store._slots()
     meta = {
         "active_store": "columnar",
-        "labels": [encode_item(label) for label, _, _, _ in rows],
+        "labels": [encode_item(label) for label in store._index],
         "kernel_rng_state": store.generator_state(),
     }
-    arrays = {
-        "counts": np.asarray([c for _, c, _, _ in rows], dtype=np.float64),
-        "priorities": np.asarray([p for _, _, p, _ in rows], dtype=np.float64),
-    }
+    arrays = {"counts": store._counts[slots], "priorities": store._prio[slots]}
     if store._errors is not None:
-        arrays["acquisition_errors"] = np.asarray(
-            [e for _, _, _, e in rows], dtype=np.float64
-        )
+        arrays["acquisition_errors"] = store._errors[slots]
     return meta, arrays
 
 
@@ -512,13 +507,11 @@ class ColumnarCounterStore:
         return float(self._counts.min())
 
     def items(self) -> Iterator[Tuple[Item, float]]:
-        counts = self._counts
-        for item, slot in self._index.items():
-            yield item, float(counts[slot])
+        return iter(self.counts().items())
 
     def counts(self) -> Dict[Item, float]:
-        """Snapshot of all bins as a plain dictionary."""
-        return dict(self.items())
+        """Snapshot of all bins as a plain dictionary, in label-map order."""
+        return dict(zip(self._index, self._counts[self._slots()].tolist()))
 
     # -- acquisition errors (Deterministic Space Saving) ------------------
     def acquisition_error(self, item: Item) -> float:
@@ -653,16 +646,18 @@ class ColumnarCounterStore:
     # -- serialization hooks ----------------------------------------------
     def state_rows(self) -> List[Tuple[Item, float, float, float]]:
         """``(label, count, priority, error)`` rows in ``items()`` order."""
-        errors = self._errors
-        return [
-            (
-                item,
-                float(self._counts[slot]),
-                float(self._prio[slot]),
-                0.0 if errors is None else float(errors[slot]),
+        slots = self._slots()
+        errors = (
+            [0.0] * slots.size if self._errors is None else self._errors[slots].tolist()
+        )
+        return list(
+            zip(
+                self._index,
+                self._counts[slots].tolist(),
+                self._prio[slots].tolist(),
+                errors,
             )
-            for item, slot in self._index.items()
-        ]
+        )
 
     def generator_state(self) -> Dict[str, Any]:
         """The kernel generator's bit-generator state (JSON-safe)."""
@@ -680,6 +675,11 @@ class ColumnarCounterStore:
         if type(item) is not int:
             self._int_labels = False
         return item
+
+    def _slots(self) -> np.ndarray:
+        """The occupied slots in label-map order, gathered in one pass."""
+        index = self._index
+        return np.fromiter(index.values(), dtype=np.int64, count=len(index))
 
     def _min_slot(self) -> Tuple[int, float]:
         """The lexicographic ``(count, priority, slot)`` minimum."""
@@ -729,9 +729,7 @@ class ColumnarCounterStore:
             )
         except (TypeError, ValueError, OverflowError):
             return None
-        slots = np.fromiter(
-            self._index.values(), dtype=np.int64, count=len(self._index)
-        )
+        slots = self._slots()
         order = np.argsort(labels, kind="stable")
         labels = labels[order]
         slots = slots[order]

@@ -16,8 +16,9 @@ Two classes implement the pattern:
 
 Both route each timestamped row to the pane covering its timestamp,
 expire panes that fall out of the horizon as time advances, and answer
-point / subset-sum / heavy-hitter queries from a merged view of the live
-panes that is cached until the next update or pane rotation.  Panes are
+point / heavy-hitter queries from the sum of the live pane bins (what a
+lossless Theorem 2 merge returns), cached until the next update or pane
+rotation; subset sums and totals read the panes directly.  Panes are
 built from any registered spec with the ``point`` capability
 (:mod:`repro.api.specs`) — Unbiased Space Saving by default, in which
 case every windowed subset sum inherits the paper's unbiasedness (each
@@ -125,7 +126,11 @@ class _PaneRingSketch(SerializableSketch):
         self._total_weight = 0.0
         self._expired_panes = 0
         self._version = 0
-        self._view_cache: Dict[Optional[int], Tuple[int, "_WindowView"]] = {}
+        #: Bumped when a pane other than the newest changes or the pane set does.
+        self._settled_version = 0
+        #: scope -> (version, summed bins), and the same for every pane but the newest.
+        self._view_cache: Dict[Optional[int], Tuple[int, Dict[Item, float]]] = {}
+        self._settled_cache: Dict[Optional[int], Tuple[int, Dict[Item, float]]] = {}
 
     #: Default query scope: ``None`` = every retained pane.
     _default_last: Optional[int] = None
@@ -280,6 +285,8 @@ class _PaneRingSketch(SerializableSketch):
                 f"(stream time < {oldest_start:g}) can no longer be ingested"
             )
         pane = self._panes.get(index)
+        if pane is None or index != self._active_index:
+            self._settled_version += 1
         if pane is None:
             pane = self._panes[index] = self._build_pane(index)
         return pane
@@ -437,32 +444,34 @@ class _PaneRingSketch(SerializableSketch):
             raise InvalidParameterError("last must be a positive window count")
         return int(last)
 
-    def _view(self, last: Optional[int] = None) -> "_WindowView":
+    def _view(self, last: Optional[int] = None) -> Dict[Item, float]:
+        """``combine_estimates`` over the in-scope panes, newest pane last.
+
+        By Theorem 2 a union-capacity merge reduces nothing, so for Unbiased
+        Space Saving panes this equals its bins: non-positive counts (only
+        a restored frame holds one) are dropped.  The sum of all but the
+        newest pane is kept until one of them changes.
+        """
         scope = self._scope(last)
         cached = self._view_cache.get(scope)
         if cached is not None and cached[0] == self._version:
             return cached[1]
         panes = [pane for _, pane in self.window_panes(scope)]
-        if not panes:
-            view = _WindowView(bins={}, total_weight=0.0, panes=())
-        else:
-            if all(isinstance(pane, UnbiasedSpaceSaving) for pane in panes):
-                # Window merge = sketch merge (Theorem 2).  The view keeps
-                # every combined bin (capacity = union size), so no
-                # reduction noise is added at query time; merged() applies
-                # the real capacity-m reduction for hand-off.
-                union = max(1, sum(len(pane.estimates()) for pane in panes))
-                merged = merge_many_unbiased(panes, capacity=union, seed=self._seed)
-                bins = merged.estimates()
-            else:
-                bins = combine_estimates(panes)
-            view = _WindowView(
-                bins=bins,
-                total_weight=float(sum(pane.total_weight for pane in panes)),
-                panes=tuple(panes),
-            )
-        self._view_cache[scope] = (self._version, view)
-        return view
+        settled = self._settled_cache.get(scope)
+        if settled is None or settled[0] != self._settled_version:
+            settled = (self._settled_version, combine_estimates(panes[:-1]))
+            self._settled_cache[scope] = settled
+        bins = dict(settled[1])
+        for item, count in panes[-1].estimates().items() if panes else ():
+            bins[item] = bins.get(item, 0.0) + count
+        if (
+            all(isinstance(pane, UnbiasedSpaceSaving) for pane in panes)
+            and bins
+            and min(bins.values()) <= 0
+        ):
+            bins = {item: count for item, count in bins.items() if count > 0}
+        self._view_cache[scope] = (self._version, bins)
+        return bins
 
     # ------------------------------------------------------------------
     # Queries (over the last ``last`` windows; default = the query scope
@@ -471,16 +480,16 @@ class _PaneRingSketch(SerializableSketch):
     # ------------------------------------------------------------------
     def estimate(self, item: Item, last: Optional[int] = None) -> float:
         """Estimated weight of ``item`` within the window scope."""
-        return self._view(last).bins.get(item, 0.0)
+        return self._view(last).get(item, 0.0)
 
     def estimates(self, last: Optional[int] = None) -> Dict[Item, float]:
         """All retained items with their in-scope estimated counts."""
-        return dict(self._view(last).bins)
+        return dict(self._view(last))
 
     def subset_sum(self, predicate: ItemPredicate, last: Optional[int] = None) -> float:
         """Subset sum over the window scope (unbiased for unbiased panes)."""
         return float(
-            sum(count for item, count in self._view(last).bins.items() if predicate(item))
+            sum(count for item, count in self._view(last).items() if predicate(item))
         )
 
     def subset_sum_with_error(
@@ -492,10 +501,9 @@ class _PaneRingSketch(SerializableSketch):
         randomness, so the window variance is the sum of the per-pane
         variances (zero where a pane spec carries no error model).
         """
-        view = self._view(last)
         estimate = 0.0
         variance = 0.0
-        for pane in view.panes:
+        for _, pane in self.window_panes(last):
             with_error = getattr(pane, "subset_sum_with_error", None)
             if callable(with_error):
                 result = with_error(predicate)
@@ -511,11 +519,10 @@ class _PaneRingSketch(SerializableSketch):
         """Items at or above relative frequency ``phi`` *within the window scope*."""
         if not 0 < phi <= 1:
             raise InvalidParameterError("phi must lie in (0, 1]")
-        view = self._view(last)
-        threshold = phi * view.total_weight
+        threshold = phi * self.total_estimate(last)
         return {
             item: count
-            for item, count in view.bins.items()
+            for item, count in self._view(last).items()
             if count >= threshold and count > 0
         }
 
@@ -523,14 +530,19 @@ class _PaneRingSketch(SerializableSketch):
         """The ``k`` largest in-scope estimates, rank order."""
         if k < 0:
             raise InvalidParameterError("k must be non-negative")
-        ranked = sorted(
-            self._view(last).bins.items(), key=lambda kv: (-kv[1], repr(kv[0]))
-        )
-        return ranked[:k]
+        bins = self._view(last)
+        ranked = bins.items()
+        if 0 < k < len(bins):
+            # Only bins at or above the k-th largest count can rank, so
+            # sorting just those keeps the full sort's order, ties included.
+            counts = np.fromiter(bins.values(), dtype=np.float64, count=len(bins))
+            cut = float(np.partition(counts, len(bins) - k)[len(bins) - k])
+            ranked = [(item, count) for item, count in ranked if count >= cut]
+        return sorted(ranked, key=lambda kv: (-kv[1], repr(kv[0])))[:k]
 
     def total_estimate(self, last: Optional[int] = None) -> float:
         """Total weight ingested into the in-scope windows."""
-        return self._view(last).total_weight
+        return float(sum(pane.total_weight for _, pane in self.window_panes(last)))
 
     def merged(
         self,
@@ -621,17 +633,6 @@ class _PaneRingSketch(SerializableSketch):
         sketch._total_weight = float(meta["total_weight"])
         sketch._expired_panes = int(meta["expired_panes"])
         return sketch
-
-
-class _WindowView:
-    """An immutable merged snapshot of the in-scope panes."""
-
-    __slots__ = ("bins", "total_weight", "panes")
-
-    def __init__(self, *, bins: Dict[Item, float], total_weight: float, panes: Tuple):
-        self.bins = bins
-        self.total_weight = total_weight
-        self.panes = panes
 
 
 class TumblingWindowSketch(_PaneRingSketch):

@@ -5,8 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.columnar import ColumnarCounterStore, resolve_kernel_name
+from repro.core.columnar import ColumnarCounterStore, frame_bins, resolve_kernel_name
+from repro.core.deterministic_space_saving import DeterministicSpaceSaving
+from repro.core.unbiased_space_saving import UnbiasedSpaceSaving
 from repro.errors import EmptySketchError, InvalidParameterError
+from repro.io import load_bytes
 
 def make_columnar(capacity=8, *, seed=0, **kwargs) -> ColumnarCounterStore:
     generator = np.random.Generator(np.random.PCG64(seed))
@@ -249,3 +252,83 @@ class TestColumnarStoreSpecifics:
         assert make_columnar(kernel="reference").kernel == "reference"
         with pytest.raises(InvalidParameterError):
             resolve_kernel_name("vulkan")
+
+
+def _per_slot_rows(store):
+    """``(label, count, priority, error)`` read slot by slot from the columns."""
+    errors = store._errors
+    return [
+        (
+            item,
+            float(store._counts[slot]),
+            float(store._prio[slot]),
+            0.0 if errors is None else float(errors[slot]),
+        )
+        for item, slot in store._index.items()
+    ]
+
+
+def _filled(cls):
+    if cls is UnbiasedSpaceSaving:
+        return UnbiasedSpaceSaving.from_bins(
+            8, {"a": 2.5, 7: 1.0, "b": 4.0, 3: 0.5}, seed=5
+        )
+    sketch = cls(8, seed=5)
+    sketch._store.fill(["a", 7, "b"], [2.5, 1.0, 4.0], errors=[0.0, 0.5, 1.0])
+    return sketch
+
+
+def _contested(cls):
+    sketch = cls(6, seed=6)
+    rng = np.random.default_rng(6)
+    for _ in range(5):
+        labels = [f"u{i}" if i % 2 else int(i) for i in rng.zipf(1.4, 300) % 40]
+        sketch.update_batch(labels, rng.random(len(labels)) + 0.5)
+    sketch.update("late", 3.0)
+    slots = list(sketch._store._index.values())
+    assert len(slots) == 6 and slots != sorted(slots)  # replacements reorder
+    return sketch
+
+
+def _restored(cls):
+    return load_bytes(_contested(cls).to_bytes())
+
+
+class TestSnapshotsMatchTheColumns:
+    """``counts``/``items``/``state_rows`` and frames equal a per-slot read."""
+
+    @pytest.mark.parametrize("kernel", ["reference", "numpy", "numba"])
+    @pytest.mark.parametrize("cls", [UnbiasedSpaceSaving, DeterministicSpaceSaving])
+    @pytest.mark.parametrize("build", [_filled, _contested, _restored])
+    def test_snapshots_equal_a_per_slot_reference(self, monkeypatch, kernel, cls, build):
+        monkeypatch.setenv("REPRO_KERNEL", kernel)
+        store = build(cls)._store
+        assert store.kernel == resolve_kernel_name(kernel)
+        reference = _per_slot_rows(store)
+        pairs = [(item, count) for item, count, _, _ in reference]
+        assert list(store.counts().items()) == pairs
+        assert list(store.items()) == pairs
+        assert store.state_rows() == reference
+        assert all(type(value) is float for row in store.state_rows() for value in row[1:])
+        assert all(type(count) is float for count in store.counts().values())
+        meta, arrays = frame_bins(store)
+        assert arrays["counts"].tobytes() == np.asarray(
+            [count for _, count, _, _ in reference], dtype=np.float64
+        ).tobytes()
+        assert arrays["priorities"].tobytes() == np.asarray(
+            [priority for _, _, priority, _ in reference], dtype=np.float64
+        ).tobytes()
+        if store._errors is not None:
+            assert arrays["acquisition_errors"].tobytes() == np.asarray(
+                [error for _, _, _, error in reference], dtype=np.float64
+            ).tobytes()
+        assert len(meta["labels"]) == len(reference)
+
+    def test_snapshot_of_an_empty_store(self):
+        store = make_columnar(track_errors=True)
+        assert store.counts() == {} and list(store.items()) == []
+        assert store.state_rows() == []
+        _, arrays = frame_bins(store)
+        assert {name: array.shape for name, array in arrays.items()} == {
+            "counts": (0,), "priorities": (0,), "acquisition_errors": (0,)
+        }

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro.core.merge import merge_many_unbiased
 from repro.core.unbiased_space_saving import UnbiasedSpaceSaving
 from repro.errors import CapabilityError, InvalidParameterError
 from repro.io import load_bytes
@@ -314,6 +315,57 @@ class TestWindowedQueries:
         assert sketch.estimate("a") == 2.0          # both rows still in horizon
         sketch.update("c", timestamp=45.0)          # expires window 0
         assert sketch.estimate("a") == 0.0
+
+    def test_pane_reads_build_no_view(self):
+        session = repro.build(
+            "unbiased_space_saving", size=8, window="sliding:30s/10s", seed=3
+        )
+        session.update_batch(
+            [f"k{i % 13}" for i in range(60)],
+            timestamps=[float(t) for t in range(60)],
+        )
+        sketch = session.estimator
+        estimate = session.estimate("k1")
+        with_error = sketch.subset_sum_with_error(lambda item: item < "k5")
+        totals = (sketch.total_estimate(), sketch.total_estimate(last=2))
+        assert sketch._view_cache == {}
+        panes = [pane for _, pane in sketch.window_panes()]
+        assert estimate.estimate == sum(pane.estimate("k1") for pane in panes)
+        assert with_error.variance > 0
+        assert totals == (30.0, 20.0)
+        sketch.top_k(3)
+        assert list(sketch._view_cache) == [None]
+
+    def test_view_drops_zero_count_bins_like_the_lossless_merge(self):
+        # Ingest never makes a zero count, but a frame may carry one.
+        sketch = SlidingWindowSketch(4, horizon="30s", pane="10s", seed=2)
+        sketch.update_batch(["a", "b", "a"], timestamps=[1.0, 2.0, 15.0])
+        restored = UnbiasedSpaceSaving(4, seed=9)
+        restored._store.fill(["z", "b"], [0.0, 2.0])
+        sketch._panes[0] = restored
+        panes = [pane for _, pane in sketch.window_panes()]
+        merged = merge_many_unbiased(panes, capacity=4, seed=2)
+        assert list(sketch._view().items()) == list(merged.estimates().items())
+        assert sketch.estimates() == {"b": 2.0, "a": 1.0}
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 5, 8, 13, 20, 40, 41, 100])
+    def test_top_k_matches_the_full_sort_with_ties(self, k):
+        # Unit weights over a small alphabet leave long runs of equal
+        # counts, so most cuts fall inside a tie and repr() decides.
+        sketch = SlidingWindowSketch(64, horizon="30s", pane="10s", seed=1)
+        rng = np.random.default_rng(1)
+        labels = rng.integers(0, 40, 200).tolist()
+        sketch.update_batch(
+            [label if label % 3 else f"s{label}" for label in labels],
+            timestamps=np.sort(rng.random(200) * 30.0),
+        )
+        bins = sketch.estimates()
+        assert len(set(bins.values())) < len(bins) / 3
+        full = sorted(bins.items(), key=lambda kv: (-kv[1], repr(kv[0])))
+        assert sketch.top_k(k) == full[:k]
+        assert sketch.top_k(k, last=1) == sorted(
+            sketch.estimates(last=1).items(), key=lambda kv: (-kv[1], repr(kv[0]))
+        )[:k]
 
 
 # ----------------------------------------------------------------------
